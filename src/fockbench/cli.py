@@ -24,7 +24,13 @@ from .analysis import (
 )
 from .bench import Bench, BenchError, load, parse_with_diagnostics
 from .elements import ElementKind, delay_line
-from .errors import FockbenchError, GridMismatch
+from .errors import (
+    BadCalibration,
+    BadParam,
+    FitUnderdetermined,
+    FockbenchError,
+    GridMismatch,
+)
 from .noise import NoiseModel, calibrate_sigma
 from .protocol import (
     PAIR_NAMES,
@@ -180,6 +186,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(f"{key}.visibility={fit.visibility:.6f}")
         print(f"{key}.sigma_visibility={fit.sigma_visibility:.6f}")
         print(f"{key}.phi0={fit.phi0:.6f}")
+        print(f"{key}.sigma_phi0={fit.sigma_phi0:.6f}")
         print(f"{key}.fidelity={f:.6f}")
         print(f"{key}.sigma_fidelity={sf:.6f}")
         print(f"{key}.beats_classical_bound={str(beats).lower()}")
@@ -349,7 +356,10 @@ def main(argv: list[str] | None = None) -> int:
         for d in exc.diagnostics:
             print(str(d), file=sys.stderr)
         return 3
-    except (OSError, GridMismatch) as exc:
+    except (BadParam, BadCalibration) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (OSError, GridMismatch, FitUnderdetermined) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except FockbenchError as exc:

@@ -7,12 +7,15 @@ Bob's verification detectors.  Idle outcomes (no Alice click, or an Alice
 click with no Bob click) are discarded the way the bench's coincidence
 circuit discards them.
 
-``run_sweep`` accumulates coincidence counts over a phase grid.  For speed
-it propagates the Fock state once per phase point, collapses it onto each
+``run_sweep`` accumulates coincidence counts over a phase grid.  It
+propagates the Fock state once per phase point, collapses it onto each
 possible Alice outcome, and caches the exact linear response of Bob's
-remaining optics; trials then reduce to Born-rule categorical draws, which
-vectorize.  ``run_trial`` walks the same physics one shot at a time and
-returns a full record with the event log.
+remaining optics.  Every noise source then has a closed-form average, so
+``outcome_distribution`` gives the exact probability of each click pattern
+and a phase point's trials are one multinomial draw: the cost of a sweep
+does not grow with the trial count.  ``run_trial`` walks the same physics
+one shot at a time, sampling each noise source, and returns a full record
+with the event log.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .bench import Bench
 from .elements import ElementKind, apply_element, phase_shifter
 from .errors import BadParam, ProtocolError
 from .fock import FockState, ModeId, Polarization
-from .noise import ClickPattern, NoiseModel, thin_by_efficiency
+from .noise import ClickPattern, NoiseModel, click_probability, thin_by_efficiency
 from .timing import EventLog, RaceResult, TimingModel, effective_correction, race
 
 ALICE_DETECTORS = ("D1", "D2")
@@ -330,19 +333,74 @@ class _PhiEngine:
                             response, out_patterns, group_of_row)
 
     def bob_pattern_probs(
-        self, branch: _AliceBranch, theta: float, fire: bool
+        self, branch: _AliceBranch, theta: float, fire: bool, sigma: float = 0.0
     ) -> np.ndarray:
-        """Exact Bob-side outcome distribution for one trial's settings."""
+        """Exact Bob-side outcome distribution for one trial's settings.
+
+        ``sigma`` > 0 averages out a further channel phase t ~ N(0, sigma^2)
+        exactly: E[exp(i t (n_j - n_k))] = exp(-sigma^2 (n_j - n_k)^2 / 2)
+        damps each coherence c_j c_k* of the collapsed state.
+        """
         c = branch.c_in.copy()
         if theta:
             c = c * np.exp(1j * theta * branch.n_channel)
         if fire:
             c = c * np.where(branch.n_channel % 2, -1.0, 1.0)
-        amps = branch.response @ c
-        probs = np.abs(amps) ** 2
+        if sigma:
+            dn = np.subtract.outer(branch.n_channel, branch.n_channel)
+            rho = np.outer(c, c.conj()) * np.exp(-0.5 * sigma**2 * dn**2)
+            probs = np.einsum("rj,jk,rk->r", branch.response, rho,
+                              branch.response.conj()).real
+        else:
+            probs = np.abs(branch.response @ c) ** 2
         out = np.zeros(len(branch.out_patterns))
         np.add.at(out, branch.group_of_row, probs)
         return out
+
+
+def _click_table(photons: np.ndarray, noise: NoiseModel) -> np.ndarray:
+    """(..., 2) photons at a detector pair -> (..., 4) click-pattern probabilities.
+
+    Pattern index is click1 + 2 * click2; each detector fires independently
+    on one of its photons or on a dark count.
+    """
+    q = 1.0 - (1.0 - click_probability(photons, noise.qe)) * (1.0 - noise.dark_count_prob)
+    q1, q2 = q[..., 0], q[..., 1]
+    return np.stack([(1 - q1) * (1 - q2), q1 * (1 - q2), (1 - q1) * q2, q1 * q2], axis=-1)
+
+
+def outcome_distribution(eng: _PhiEngine, cfg: RunConfig) -> np.ndarray:
+    """Exact (4, 4) probability of every (Alice, Bob) click pattern at one phase.
+
+    Rows index Alice's pattern and columns Bob's, both as click1 + 2 * click2
+    over (D1, D2) and (D1*, D2*); the table sums to 1.  Detector efficiency,
+    dark counts, the dephasing phase and the jittered race are averaged out
+    in closed form.  The coincidence circuit keeps rows 1-2 (exactly one
+    Alice click: the D1 or D2 trigger) and columns 1-3 (any Bob click).
+    """
+    noise, timing = cfg.noise, cfg.timing
+    sigma = noise.dephasing_sigma
+    p_arm = 0.0
+    if cfg.mode is RunMode.ACTIVE:
+        deadline = eng.bench.delay_m * timing.delay_ns_per_m
+        base = timing.detector_latency_ns + timing.risetime_ns
+        if timing.jitter_sigma_ns > 0:  # Phi((deadline - base) / sigma_j)
+            z = (deadline - base) / timing.jitter_sigma_ns
+            p_arm = 0.5 * math.erfc(-z / math.sqrt(2.0))
+        else:
+            p_arm = float(base <= deadline)
+
+    table = np.zeros((4, 4))
+    for branch in eng.branches:
+        alice = branch.prob * _click_table(np.array(branch.pattern), noise)
+        bob_clicks = _click_table(np.array(branch.out_patterns), noise)
+        unfired = eng.bob_pattern_probs(branch, 0.0, False, sigma) @ bob_clicks
+        table += np.outer(alice, unfired)
+        if p_arm:
+            # only a lone D2 trigger (row 2) fires the cell
+            fired = eng.bob_pattern_probs(branch, 0.0, True, sigma) @ bob_clicks
+            table[2] += alice[2] * p_arm * (fired - unfired)
+    return table
 
 
 def _draw(cdf: np.ndarray, u: float) -> int:
@@ -406,103 +464,15 @@ def run_trial(
 def _sweep_point(
     bench: Bench, cfg: RunConfig, phi: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, int]:
-    """Vectorized trials at one phase point; returns (pair counts, kept)."""
-    eng = _PhiEngine(bench, phi)
-    n = cfg.trials_per_phi
-    noise, timing = cfg.noise, cfg.timing
-
-    # fixed draw order keeps streams reproducible regardless of branching
-    u_alice = rng.random(n)
-    thetas = rng.normal(0.0, noise.dephasing_sigma, n) if noise.dephasing_sigma else None
-    sub_qe_a = rng.random((n, 2)) if noise.qe < 1.0 else None
-    dark_a = rng.random((n, 2)) if noise.dark_count_prob else None
-    jitter = (
-        rng.normal(0.0, timing.jitter_sigma_ns, n)
-        if cfg.mode is RunMode.ACTIVE and timing.jitter_sigma_ns > 0
-        else None
-    )
-    u_bob = rng.random(n)
-    sub_qe_b = rng.random((n, 2)) if noise.qe < 1.0 else None
-    dark_b = rng.random((n, 2)) if noise.dark_count_prob else None
-
-    # Alice outcome per trial
-    a_cdf = np.cumsum(eng.alice_probs)
-    a_idx = np.searchsorted(a_cdf, u_alice * a_cdf[-1], side="right")
-    a_idx = np.minimum(a_idx, len(eng.branches) - 1)
-    patt = np.array([b.pattern for b in eng.branches], dtype=np.int64)
-    a_counts = patt[a_idx]  # (n, 2) photons at (D1, D2)
-
-    # click thinning
-    if sub_qe_a is None:
-        a_click = a_counts > 0
-    else:
-        p_click = 1.0 - (1.0 - noise.qe) ** a_counts
-        a_click = sub_qe_a < p_click
-    if dark_a is not None:
-        a_click |= dark_a < noise.dark_count_prob
-
-    d1, d2 = a_click[:, 0], a_click[:, 1]
-    trig_d2 = d2 & ~d1
-    keep0 = d1 ^ d2  # exactly one Alice click
-
-    # feed-forward: deterministic threshold unless jitter is on
-    if cfg.mode is RunMode.ACTIVE:
-        deadline = bench.delay_m * timing.delay_ns_per_m
-        base = timing.detector_latency_ns + timing.risetime_ns
-        if jitter is None:
-            armed = np.full(n, base <= deadline)
-        else:
-            armed = base + jitter <= deadline
-        fire = trig_d2 & armed
-    else:
-        fire = np.zeros(n, dtype=bool)
-
-    # Bob outcome per trial, grouped by (Alice branch, fire) for vector math
-    b_counts = np.zeros((n, 2), dtype=np.int64)
-    for bi, branch in enumerate(eng.branches):
-        pat_arr = np.array(branch.out_patterns, dtype=np.int64)
-        for f in (False, True):
-            sel = (a_idx == bi) & (fire == f)
-            m = int(sel.sum())
-            if not m:
-                continue
-            if thetas is None:
-                probs = eng.bob_pattern_probs(branch, 0.0, f)
-                cdf = np.cumsum(probs)
-                o = np.searchsorted(cdf, u_bob[sel] * cdf[-1], side="right")
-                o = np.minimum(o, len(cdf) - 1)
-            else:
-                c = branch.c_in[:, None] * np.exp(
-                    1j * np.outer(branch.n_channel, thetas[sel])
-                )
-                if f:
-                    c *= np.where(branch.n_channel % 2, -1.0, 1.0)[:, None]
-                amps = branch.response @ c  # (rows, m)
-                probs = np.abs(amps) ** 2
-                gp = np.zeros((len(branch.out_patterns), m))
-                np.add.at(gp, branch.group_of_row, probs)
-                cdf = np.cumsum(gp, axis=0)
-                u = u_bob[sel] * cdf[-1, :]
-                o = (cdf < u[None, :]).sum(axis=0)
-                o = np.minimum(o, gp.shape[0] - 1)
-            b_counts[sel] = pat_arr[o]
-
-    if sub_qe_b is None:
-        b_click = b_counts > 0
-    else:
-        p_click = 1.0 - (1.0 - noise.qe) ** b_counts
-        b_click = sub_qe_b < p_click
-    if dark_b is not None:
-        b_click |= dark_b < noise.dark_count_prob
-
-    # coincidence-circuit post-selection
-    kept = keep0 & (b_click[:, 0] | b_click[:, 1])
-    counts = np.zeros(4, dtype=np.int64)
-    for j in range(2):
-        sel = kept & b_click[:, j]
-        if sel.any():
-            counts += np.bincount(trig_d2[sel].astype(np.int64) * 2 + j, minlength=4)
-    return counts, int(kept.sum())
+    """All trials at one phase point as one multinomial draw over the exact
+    kept cells; returns (pair counts, kept)."""
+    # (D1, D2 trigger) x (Bob D1* only, D2* only, both)
+    cells = np.maximum(outcome_distribution(_PhiEngine(bench, phi), cfg)[1:3, 1:], 0.0)
+    p = np.append(cells.ravel(), 1.0 - cells.sum())  # last: discarded
+    draw = rng.multinomial(cfg.trials_per_phi, p)[:-1].reshape(2, 3)
+    # a both-clicks trial counts toward both of its trigger's pairs
+    counts = (draw[:, :2] + draw[:, 2:]).ravel()
+    return counts, int(draw.sum())
 
 
 def _sweep_task(args):

@@ -55,6 +55,13 @@ class TestRun:
         code = run_cli("run", "--bench", str(bad), "--out", str(tmp_path))
         assert code == 3
 
+    @pytest.mark.parametrize("flags", [("--trials", "0"), ("--qe", "1.5"),
+                                       ("--jitter-ns", "-1")])
+    def test_out_of_range_parameter_exits_2(self, tmp_path, capsys, flags):
+        code = run_cli("run", *flags, "--phi-steps", "5", "--out", str(tmp_path))
+        assert code == 2
+        assert "internal error" not in capsys.readouterr().err
+
     def test_bogus_mode_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             run_cli("run", "--mode", "bogus", "--out", str(tmp_path))
@@ -114,6 +121,29 @@ class TestAnalyze:
             assert f"{pair}.visibility=" in out
             assert f"{pair}.fidelity=" in out
             assert f"{pair}.beats_classical_bound=" in out
+
+    def test_prints_sigma_phi0_of_the_fit(self, tmp_path, capsys):
+        import numpy as np
+
+        from fockbench.analysis import fit_fringe
+        from fockbench.protocol import FringeData
+
+        run_cli("run", "--trials", "2000", "--phi-steps", "9", "--seed", "1",
+                "--out", str(tmp_path))
+        capsys.readouterr()
+        run_cli("analyze", str(tmp_path / "fringe.csv"))
+        out = capsys.readouterr().out
+        data = FringeData.from_csv((tmp_path / "fringe.csv").read_text())
+        for pair in ("D1-D2*", "D2-D1*"):
+            fit = fit_fringe(np.array(data.phi_grid), data.counts[pair])
+            printed = float(out.split(f"{pair.replace('*', 's')}.sigma_phi0=")[1].split()[0])
+            assert printed == pytest.approx(fit.sigma_phi0, abs=5e-7)
+
+    def test_too_few_phases_exits_3(self, tmp_path, capsys):
+        run_cli("run", "--trials", "100", "--phi-steps", "3", "--out", str(tmp_path))
+        capsys.readouterr()
+        assert run_cli("analyze", str(tmp_path / "fringe.csv")) == 3
+        assert "internal error" not in capsys.readouterr().err
 
     def test_noiseless_run_beats_bound(self, tmp_path, capsys):
         run_cli("run", "--trials", "5000", "--phi-steps", "9", "--seed", "2",
@@ -193,6 +223,14 @@ class TestReproducePaper:
         assert f_active == pytest.approx(1.0, abs=0.02)
         assert (tmp_path / "passive.csv").exists()
         assert (tmp_path / "active.csv").exists()
+
+
+    def test_uncalibratable_visibility_exits_2(self, tmp_path, capsys):
+        # the active visibility cannot exceed the passive 0.906
+        code = run_cli("reproduce-paper", "--trials", "100", "--phi-steps", "5",
+                       "--active-visibility", "0.95")
+        assert code == 2
+        assert "internal error" not in capsys.readouterr().err
 
 
 class TestSparkline:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,14 +13,23 @@ from fockbench.protocol import (
     RunConfig,
     RunMode,
     _PhiEngine,
+    _sweep_point,
     analytic_coincidences,
     classify,
     default_phi_grid,
+    outcome_distribution,
     phase_from_position,
     position_from_phase,
     run_sweep,
     run_trial,
 )
+from fockbench.timing import TimingModel
+
+# every noise source on: 45% detectors, dark counts, dephasing and a jittered
+# race whose 23.5 ns risetime arms the cell with probability
+# Phi((24 - 23.5) / 1.5) = 0.63, strictly between 0 and 1
+FULL_NOISE = NoiseModel(qe=0.45, dephasing_sigma=0.66, dark_count_prob=2e-3)
+JITTERED = TimingModel(risetime_ns=23.5, jitter_sigma_ns=1.5)
 
 
 def clicks(d1: bool, d2: bool) -> ClickPattern:
@@ -248,6 +258,90 @@ class TestRunSweep:
         assert all((back.counts[p] == data.counts[p]).all() for p in PAIR_NAMES)
         assert (back.trials_kept == data.trials_kept).all()
         assert (back.trials_total == data.trials_total).all()
+
+
+def chi2_sf(x: float, dof: int) -> float:
+    """Chi-square upper tail via the series of the lower regularized gamma."""
+    a, y = dof / 2.0, x / 2.0
+    term = total = 1.0 / a
+    n = 0
+    while term > 1e-17 * total:
+        n += 1
+        term *= y / (a + n)
+        total += term
+    return 1.0 - total * math.exp(a * math.log(y) - y - math.lgamma(a))
+
+
+def table(bench, phi, mode, noise=FULL_NOISE, timing=JITTERED):
+    cfg = RunConfig(mode=mode, noise=noise, timing=timing)
+    return outcome_distribution(_PhiEngine(bench, phi), cfg)
+
+
+class TestOutcomeDistribution:
+    @pytest.mark.parametrize("mode", list(RunMode))
+    @pytest.mark.parametrize("noise", [NoiseModel(), FULL_NOISE])
+    def test_sums_to_one(self, bench, mode, noise):
+        for phi in (0.0, 1.3, 4.0):
+            t = table(bench, phi, mode, noise)
+            assert t.min() >= 0.0
+            assert t.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("mode", [RunMode.PASSIVE, RunMode.ACTIVE_INHIBITED])
+    def test_noiseless_cells_are_the_analytic_fringe(self, bench, mode):
+        for phi in np.linspace(0.0, 2.0 * math.pi, 9):
+            cells = table(bench, phi, mode, NoiseModel(), TimingModel())[1:3, 1:]
+            kept = cells.sum()
+            assert kept == pytest.approx(0.5, abs=1e-12)
+            pairs = (cells[:, :2] + cells[:, 2:]).ravel() / kept
+            ac = analytic_coincidences(bench, phi)
+            assert pairs == pytest.approx([ac.pairs[p] for p in PAIR_NAMES], abs=1e-12)
+
+    @pytest.mark.parametrize("mode", list(RunMode))
+    @pytest.mark.parametrize("sigma", [0.3, 0.66])
+    def test_dephasing_scales_the_fringe_by_exp_minus_sigma2_over_2(self, bench, mode, sigma):
+        sharp = NoiseModel(qe=0.45, dark_count_prob=2e-3)
+        blurred = NoiseModel(qe=0.45, dark_count_prob=2e-3, dephasing_sigma=sigma)
+        for phi in (0.3, 1.7):
+            s0, s1 = table(bench, phi, mode, sharp), table(bench, phi + math.pi, mode, sharp)
+            b0, b1 = table(bench, phi, mode, blurred), table(bench, phi + math.pi, mode, blurred)
+            # the phase-even part is untouched, the fringe itself shrinks
+            assert b0 + b1 == pytest.approx(s0 + s1, abs=1e-12)
+            assert b0 - b1 == pytest.approx(math.exp(-sigma**2 / 2) * (s0 - s1), abs=1e-12)
+
+    @pytest.mark.parametrize("phi", [0.6, 2.4])
+    def test_chi_square_against_run_trial_shots(self, bench, phi):
+        # run_trial samples theta, the thinning and the jittered race itself
+        cfg = RunConfig(mode=RunMode.ACTIVE, trials_per_phi=1, noise=FULL_NOISE,
+                        timing=JITTERED)
+        eng = _PhiEngine(bench, phi)
+        rng = np.random.default_rng(1234)
+        shots = 10_000
+        observed = np.zeros((4, 4))
+        for _ in range(shots):
+            rec = run_trial(bench, phi, cfg, rng, engine=eng)
+            a, b = rec.alice_clicks.clicks, rec.bob_clicks.clicks
+            observed[a["D1"] + 2 * a["D2"], b["D1*"] + 2 * b["D2*"]] += 1
+        expected = shots * outcome_distribution(eng, cfg)
+        small = expected < 5  # pooled into one cell
+        obs = np.append(observed[~small], observed[small].sum())
+        exp = np.append(expected[~small], expected[small].sum())
+        chi2 = float(((obs - exp) ** 2 / exp).sum())
+        assert chi2_sf(chi2, len(obs) - 1) >= 1e-6
+
+    def test_sweep_point_memory_does_not_grow_with_trials(self, bench):
+        def peak(trials):
+            cfg = RunConfig(mode=RunMode.ACTIVE, trials_per_phi=trials,
+                            noise=FULL_NOISE, timing=JITTERED)
+            rng = np.random.default_rng(0)
+            tracemalloc.start()
+            try:
+                _sweep_point(bench, cfg, 1.0, rng)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1000)  # first-call allocations
+        assert abs(peak(10**8) - peak(10**3)) <= 64 * 1024
 
 
 class TestConfig:
