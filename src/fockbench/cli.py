@@ -30,6 +30,7 @@ from .errors import (
     FitUnderdetermined,
     FockbenchError,
     GridMismatch,
+    MalformedInput,
 )
 from .noise import NoiseModel, calibrate_sigma
 from .protocol import (
@@ -81,7 +82,8 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input-theta", type=float, default=None,
                    help="qubit-preparation splitter angle (radians)")
     p.add_argument("--bench", default=None, help="bench file (default: builtin)")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility; must be >= 1, has no effect")
 
 
 _MANIFEST_KEYS = (
@@ -118,7 +120,11 @@ def _load_manifest(path: str, args: argparse.Namespace) -> None:
         if val == "":
             setattr(args, key, None)
         elif key in casts:
-            setattr(args, key, casts[key](val))
+            try:
+                setattr(args, key, casts[key](val))
+            except ValueError:
+                raise MalformedInput(f"manifest {path}: {key}={val!r} is not "
+                                     f"a valid {casts[key].__name__}") from None
         else:
             setattr(args, key, val)
 
@@ -334,7 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--trials", type=int, default=20000)
     p_rep.add_argument("--phi-steps", type=int, default=25)
     p_rep.add_argument("--seed", type=int, default=0)
-    p_rep.add_argument("--workers", type=int, default=1)
+    p_rep.add_argument("--workers", type=int, default=1,
+                       help="accepted for compatibility; must be >= 1, has no effect")
     p_rep.add_argument("--bench", default=None)
     p_rep.add_argument("--out", default=None)
     p_rep.add_argument("--passive-visibility", type=float, default=0.906)
@@ -359,7 +366,7 @@ def main(argv: list[str] | None = None) -> int:
     except (BadParam, BadCalibration) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, GridMismatch, FitUnderdetermined) as exc:
+    except (OSError, GridMismatch, FitUnderdetermined, MalformedInput) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except FockbenchError as exc:

@@ -2,8 +2,8 @@
 
 Every element compiles to a short list of primitive actions: a 2x2 unitary
 on a mode pair, a per-mode phase, or a mode permutation.  The same actions
-feed both the state propagation and the composed single-photon transfer
-matrix used by brute-force checks.
+feed both the Fock-state propagation and the composed single-photon
+transfer matrix behind the protocol engine.
 """
 
 from __future__ import annotations

@@ -69,3 +69,7 @@ class ProtocolError(FockbenchError):
 
 class GridMismatch(FockbenchError):
     pass
+
+
+class MalformedInput(FockbenchError):
+    """A fringe CSV or run manifest that does not follow its format."""

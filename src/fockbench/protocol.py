@@ -7,15 +7,17 @@ Bob's verification detectors.  Idle outcomes (no Alice click, or an Alice
 click with no Bob click) are discarded the way the bench's coincidence
 circuit discards them.
 
-``run_sweep`` accumulates coincidence counts over a phase grid.  It
-propagates the Fock state once per phase point, collapses it onto each
-possible Alice outcome, and caches the exact linear response of Bob's
-remaining optics.  Every noise source then has a closed-form average, so
-``outcome_distribution`` gives the exact probability of each click pattern
-and a phase point's trials are one multinomial draw: the cost of a sweep
-does not grow with the trial count.  ``run_trial`` walks the same physics
-one shot at a time, sampling each noise source, and returns a full record
-with the event log.
+``run_sweep`` accumulates coincidence counts over a phase grid.  The bench
+upstream of the detectors is linear optics on two photons, so one engine
+composes its single-photon transfer matrices once, and every two-photon
+amplitude is a 2x2 permanent of them.  Every noise source has a closed-form
+average, so ``outcome_distribution`` gives the exact probability of each
+click pattern at every phase of the grid in one batched pass, and a phase
+point's trials are one multinomial draw: the cost of a sweep does not grow
+with the trial count.  ``run_trial`` samples the same engine one shot at a
+time, drawing each noise source, and returns a full record with the event
+log.  ``analytic_coincidences`` derives the noiseless fringe independently,
+by Fock-state projection.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ import numpy as np
 
 from . import fock
 from .bench import Bench
-from .elements import ElementKind, apply_element, phase_shifter
-from .errors import BadParam, ProtocolError
+from .elements import ElementKind, apply_element, phase_shifter, single_photon_matrix
+from .errors import BadParam, MalformedInput, ProtocolError
 from .fock import FockState, ModeId, Polarization
 from .noise import ClickPattern, NoiseModel, click_probability, thin_by_efficiency
 from .timing import EventLog, RaceResult, TimingModel, effective_correction, race
@@ -38,6 +40,7 @@ from .timing import EventLog, RaceResult, TimingModel, effective_correction, rac
 ALICE_DETECTORS = ("D1", "D2")
 BOB_DETECTORS = ("D1*", "D2*")
 PAIR_NAMES = ("D1-D1*", "D1-D2*", "D2-D1*", "D2-D2*")
+CSV_HEADER = "phi_rad,pair,coincidences,trials_kept,trials_total"
 
 
 class RunMode(Enum):
@@ -99,6 +102,9 @@ class RunConfig:
 
 
 def default_phi_grid(steps: int = 25) -> tuple[float, ...]:
+    """``steps`` evenly spaced phases over [0, 2 pi]; a fringe fit needs >= 4."""
+    if steps < 4:
+        raise BadParam(f"a fringe needs at least 4 phase steps, got {steps}")
     return tuple(np.linspace(0.0, 2.0 * math.pi, steps))
 
 
@@ -123,7 +129,7 @@ class FringeData:
     trials_total: np.ndarray
 
     def to_csv(self) -> str:
-        lines = ["phi_rad,pair,coincidences,trials_kept,trials_total"]
+        lines = [CSV_HEADER]
         for i, phi in enumerate(self.phi_grid):
             for pair in PAIR_NAMES:
                 lines.append(
@@ -134,23 +140,41 @@ class FringeData:
 
     @classmethod
     def from_csv(cls, text: str) -> "FringeData":
-        rows = [line.split(",") for line in text.strip().splitlines()[1:]]
-        grid: list[float] = []
-        counts: dict[str, list[int]] = {p: [] for p in PAIR_NAMES}
-        kept: list[int] = []
-        total: list[int] = []
-        for phi_s, pair, c, k, t in rows:
-            phi = float(phi_s)
-            if not grid or phi != grid[-1]:
-                grid.append(phi)
-                kept.append(int(k))
-                total.append(int(t))
-            counts[pair].append(int(c))
+        """Parse ``to_csv`` output; a malformed file raises ``MalformedInput``."""
+        lines = text.strip().splitlines()
+        if not lines or lines[0].strip() != CSV_HEADER:
+            raise MalformedInput(f"fringe CSV header is not {CSV_HEADER!r}")
+        points: list[tuple[float, dict[str, int], int, int]] = []
+        for n, line in enumerate(lines[1:], start=2):
+            fields = line.split(",")
+            if len(fields) != 5:
+                raise MalformedInput(f"fringe CSV line {n}: want 5 fields, got {len(fields)}")
+            phi_s, pair, c, k, t = fields
+            if pair not in PAIR_NAMES:
+                raise MalformedInput(f"fringe CSV line {n}: unknown pair {pair!r}")
+            try:
+                phi, c, k, t = float(phi_s), int(c), int(k), int(t)
+            except ValueError as exc:
+                raise MalformedInput(f"fringe CSV line {n}: {exc}") from None
+            if not points or phi != points[-1][0]:
+                points.append((phi, {}, k, t))
+            _, counts, kept, total = points[-1]
+            if pair in counts:
+                raise MalformedInput(f"fringe CSV line {n}: {pair} repeated at phi={phi!r}")
+            if (k, t) != (kept, total):
+                raise MalformedInput(f"fringe CSV line {n}: trials_kept/trials_total "
+                                     f"disagree with the other rows at phi={phi!r}")
+            counts[pair] = c
+        for phi, counts, _, _ in points:
+            if len(counts) != len(PAIR_NAMES):
+                missing = sorted(set(PAIR_NAMES) - set(counts))
+                raise MalformedInput(f"fringe CSV: phi={phi!r} lacks pairs {missing}")
         return cls(
-            tuple(grid),
-            {p: np.array(v, dtype=np.int64) for p, v in counts.items()},
-            np.array(kept, dtype=np.int64),
-            np.array(total, dtype=np.int64),
+            tuple(p[0] for p in points),
+            {pair: np.array([p[1][pair] for p in points], dtype=np.int64)
+             for pair in PAIR_NAMES},
+            np.array([p[2] for p in points], dtype=np.int64),
+            np.array([p[3] for p in points], dtype=np.int64),
         )
 
 
@@ -224,9 +248,9 @@ def _require_protocol_bench(bench: Bench) -> int:
     eop = [i for i, e in enumerate(bench.pipeline) if e.kind is ElementKind.POCKELS_CELL]
     if not eop:
         raise ProtocolError("protocol needs a Pockels cell in the pipeline")
-    if bench.knob_index < 0:
-        raise ProtocolError("protocol needs exactly one phase knob")
     first = eop[0]
+    if not 0 <= bench.knob_index < first:
+        raise ProtocolError("protocol needs exactly one phase knob, before the Pockels cell")
     alice_modes = {bench.detectors[d] for d in ALICE_DETECTORS}
     for e in bench.pipeline[first:]:
         if e.kind is ElementKind.POCKELS_CELL:
@@ -239,123 +263,85 @@ def _require_protocol_bench(bench: Bench) -> int:
     return first
 
 
-@dataclass
-class _AliceBranch:
-    """One possible Alice outcome and Bob's exact linear response to it."""
+class _TransferEngine:
+    """The bench as composed single-photon transfer matrices, for any phase.
 
-    pattern: tuple[int, int]  # photons at (D1, D2)
-    prob: float
-    collapsed: FockState
-    in_basis: list[tuple[int, ...]]
-    c_in: np.ndarray  # (k,) collapsed amplitudes
-    n_channel: np.ndarray  # (k,) occupation of the cell's V mode per entry
-    response: np.ndarray  # (m, k) propagation of unit entries past the cell
-    out_patterns: list[tuple[int, int]]  # photons at (D1*, D2*) per out row group
-    group_of_row: np.ndarray  # (m,) out row -> pattern group index
+    Everything upstream of the detectors is linear optics on the two source
+    photons, so every output amplitude is a 2x2 permanent of the composed
+    single-photon matrix (rows: input modes, columns: output modes; see S.
+    Scheel, quant-ph/0406127).  The knob phase is the only part of that
+    matrix that varies across a sweep, so the matrices before the knob,
+    from the knob to the Pockels cell and after the cell are composed once.
+    """
 
-
-class _PhiEngine:
-    """Exact propagation at one knob setting, cached for reuse across trials."""
-
-    def __init__(self, bench: Bench, phi: float):
+    def __init__(self, bench: Bench):
         self.bench = bench
-        self.phi = float(phi)
-        self.eop_index = _require_protocol_bench(bench)
-        eop_path = bench.pipeline[self.eop_index].paths[0]
-        self.channel_mode = ModeId(eop_path, Polarization.V)
-        self.alice_modes = [bench.detectors[d] for d in ALICE_DETECTORS]
-        self.bob_modes = [bench.detectors[d] for d in BOB_DETECTORS]
+        eop = _require_protocol_bench(bench)
+        knob = bench.knob_index
+        modes = bench.modes
+        idx = {m: i for i, m in enumerate(modes)}
+        sources = [idx[m] for m in bench.sources]
+        if len(sources) != 2 or sources[0] == sources[1]:
+            raise ProtocolError("protocol needs two photon sources on distinct modes")
 
-        st = _prepared_state(bench)
-        for e in bench.pipeline[: self.eop_index]:
-            if e.is_knob:
-                e = phase_shifter(e.paths[0], self.phi, knob=True)
-            st = apply_element(st, e)
-        self.paused = st
-        self.branches = [
-            self._make_branch(pattern, prob)
-            for pattern, prob in self._alice_marginal().items()
-        ]
-        self.alice_probs = np.array([b.prob for b in self.branches])
+        def compose(elements) -> np.ndarray:
+            mat = np.eye(len(modes), dtype=complex)
+            for e in elements:
+                mat = mat @ single_photon_matrix(e, modes)
+            return mat
 
-    def _alice_marginal(self) -> dict[tuple[int, int], float]:
-        i1 = self.paused.index_of(self.alice_modes[0])
-        i2 = self.paused.index_of(self.alice_modes[1])
-        out: dict[tuple[int, int], float] = {}
-        for occ, amp in self.paused.amplitudes.items():
-            key = (occ[i1], occ[i2])
-            out[key] = out.get(key, 0.0) + abs(amp) ** 2
-        return dict(sorted(out.items()))
+        self.before_knob = compose(bench.pipeline[:knob])[sources]  # (2, n)
+        knob_path = bench.pipeline[knob].paths[0]
+        self.knob_modes = np.array([float(m.path == knob_path) for m in modes])
+        self.to_cell = compose(bench.pipeline[knob + 1 : eop])
+        self.after_cell = compose(bench.pipeline[eop + 1 :])
+        self.channel = idx[ModeId(bench.pipeline[eop].paths[0], Polarization.V)]
 
-    def _make_branch(self, pattern: tuple[int, int], prob: float) -> _AliceBranch:
-        collapsed, _ = fock.project(
-            self.paused,
-            {self.alice_modes[0]: pattern[0], self.alice_modes[1]: pattern[1]},
-        )
-        in_basis = sorted(collapsed.amplitudes)
-        c_in = np.array([collapsed.amplitudes[occ] for occ in in_basis])
-        ch = collapsed.index_of(self.channel_mode)
-        n_channel = np.array([occ[ch] for occ in in_basis], dtype=np.int64)
+        # one photon in mode j and one in k land in cell c[j] + c[k] of the
+        # flattened (Alice counts) x (Bob counts) table, both indexed as
+        # n1 + 3 * n2 over (D1, D2) and (D1*, D2*)
+        det = {d: np.array([m == bench.detectors[d] for m in modes], dtype=np.int64)
+               for d in ALICE_DETECTORS + BOB_DETECTORS}
+        c = 9 * (det["D1"] + 3 * det["D2"]) + det["D1*"] + 3 * det["D2*"]
+        self.to_counts = np.eye(81)[np.add.outer(c, c).ravel()]  # (n * n, 81)
 
-        tail = self.bench.pipeline[self.eop_index + 1 :]
-        out_basis: list[tuple[int, ...]] = []
-        out_index: dict[tuple[int, ...], int] = {}
-        columns: list[dict[int, complex]] = []
-        for occ in in_basis:
-            unit = FockState(collapsed.modes, {occ: 1.0 + 0j},
-                             collapsed.max_per_mode, collapsed.max_total)
-            for e in tail:
-                unit = apply_element(unit, e)
-            col: dict[int, complex] = {}
-            for o, a in unit.amplitudes.items():
-                if o not in out_index:
-                    out_index[o] = len(out_basis)
-                    out_basis.append(o)
-                col[out_index[o]] = a
-            columns.append(col)
-        response = np.zeros((len(out_basis), len(in_basis)), dtype=complex)
-        for j, col in enumerate(columns):
-            for i, a in col.items():
-                response[i, j] = a
+    def at_cell(self, phis) -> np.ndarray:
+        """(P, 2, n): each source photon's amplitudes just before the cell."""
+        knob = np.exp(1j * np.multiply.outer(np.asarray(phis, dtype=float), self.knob_modes))
+        return (self.before_knob * knob[:, None, :]) @ self.to_cell
 
-        j1 = collapsed.index_of(self.bob_modes[0])
-        j2 = collapsed.index_of(self.bob_modes[1])
-        groups: dict[tuple[int, int], int] = {}
-        group_of_row = np.zeros(len(out_basis), dtype=np.int64)
-        out_patterns: list[tuple[int, int]] = []
-        for i, occ in enumerate(out_basis):
-            key = (occ[j1], occ[j2])
-            if key not in groups:
-                groups[key] = len(out_patterns)
-                out_patterns.append(key)
-            group_of_row[i] = groups[key]
-        return _AliceBranch(pattern, prob, collapsed, in_basis, c_in, n_channel,
-                            response, out_patterns, group_of_row)
+    def count_tables(self, phis, sigma: float = 0.0, theta: float = 0.0) -> np.ndarray:
+        """(2, P, 9, 9) joint photon counts, cell disarmed ([0]) and fired ([1]).
 
-    def bob_pattern_probs(
-        self, branch: _AliceBranch, theta: float, fire: bool, sigma: float = 0.0
-    ) -> np.ndarray:
-        """Exact Bob-side outcome distribution for one trial's settings.
-
-        ``sigma`` > 0 averages out a further channel phase t ~ N(0, sigma^2)
-        exactly: E[exp(i t (n_j - n_k))] = exp(-sigma^2 (n_j - n_k)^2 / 2)
-        damps each coherence c_j c_k* of the collapsed state.
+        Rows index Alice's counts n(D1) + 3 n(D2), columns Bob's n(D1*) +
+        3 n(D2*).  The channel phase is theta; ``sigma`` > 0 averages a
+        further t ~ N(0, sigma^2) exactly.  Split at the cell's V mode, the
+        two-photon amplitude is S0 + e^{it} S1 + e^{2it} S2 (S1 changes sign
+        when the cell fires), so E[e^{it}] = exp(-sigma^2 / 2) damps the
+        S1 cross terms and E[e^{2it}] = exp(-2 sigma^2) the S0-S2 one.
         """
-        c = branch.c_in.copy()
-        if theta:
-            c = c * np.exp(1j * theta * branch.n_channel)
-        if fire:
-            c = c * np.where(branch.n_channel % 2, -1.0, 1.0)
-        if sigma:
-            dn = np.subtract.outer(branch.n_channel, branch.n_channel)
-            rho = np.outer(c, c.conj()) * np.exp(-0.5 * sigma**2 * dn**2)
-            probs = np.einsum("rj,jk,rk->r", branch.response, rho,
-                              branch.response.conj()).real
-        else:
-            probs = np.abs(branch.response @ c) ** 2
-        out = np.zeros(len(branch.out_patterns))
-        np.add.at(out, branch.group_of_row, probs)
-        return out
+        u = self.at_cell(phis)
+        ch = self.channel
+        rest = u.copy()
+        rest[..., ch] = 0.0
+        m0 = rest @ self.after_cell  # every path but the one through the channel mode
+        mc = (u[..., ch, None] * np.exp(1j * theta)) * self.after_cell[ch]
+
+        def outer(x, y):  # photon 1 to j, photon 2 to k; plus its transpose: the permanent
+            return x[:, 0, :, None] * y[:, 1, None, :]
+
+        s0, s1, s2 = (r + r.swapaxes(-1, -2) for r in
+                      (outer(m0, m0), outer(m0, mc) + outer(mc, m0), outer(mc, mc)))
+        even = (abs(s0) ** 2 + abs(s1) ** 2 + abs(s2) ** 2
+                + 2.0 * math.exp(-2.0 * sigma**2) * (s0 * s2.conj()).real)
+        odd = 2.0 * math.exp(-0.5 * sigma**2) * ((s0 + s2) * s1.conj()).real
+        # an ordered output pair (j, k) carries |S[j, k]|^2 / 2
+        pairs = 0.5 * np.stack([even + odd, even - odd])
+        return (pairs.reshape(2, len(u), -1) @ self.to_counts).reshape(2, len(u), 9, 9)
+
+
+#: photons at a detector pair per count index n1 + 3 * n2
+_COUNTS = np.array([(n1, n2) for n2 in range(3) for n1 in range(3)])
 
 
 def _click_table(photons: np.ndarray, noise: NoiseModel) -> np.ndarray:
@@ -369,17 +355,17 @@ def _click_table(photons: np.ndarray, noise: NoiseModel) -> np.ndarray:
     return np.stack([(1 - q1) * (1 - q2), q1 * (1 - q2), (1 - q1) * q2, q1 * q2], axis=-1)
 
 
-def outcome_distribution(eng: _PhiEngine, cfg: RunConfig) -> np.ndarray:
-    """Exact (4, 4) probability of every (Alice, Bob) click pattern at one phase.
+def outcome_distribution(eng: _TransferEngine, cfg: RunConfig) -> np.ndarray:
+    """Exact (P, 4, 4) probability of every (Alice, Bob) click pattern at
+    each phase of ``cfg.phi_grid``.
 
     Rows index Alice's pattern and columns Bob's, both as click1 + 2 * click2
-    over (D1, D2) and (D1*, D2*); the table sums to 1.  Detector efficiency,
+    over (D1, D2) and (D1*, D2*); each table sums to 1.  Detector efficiency,
     dark counts, the dephasing phase and the jittered race are averaged out
     in closed form.  The coincidence circuit keeps rows 1-2 (exactly one
     Alice click: the D1 or D2 trigger) and columns 1-3 (any Bob click).
     """
-    noise, timing = cfg.noise, cfg.timing
-    sigma = noise.dephasing_sigma
+    timing = cfg.timing
     p_arm = 0.0
     if cfg.mode is RunMode.ACTIVE:
         deadline = eng.bench.delay_m * timing.delay_ns_per_m
@@ -390,16 +376,12 @@ def outcome_distribution(eng: _PhiEngine, cfg: RunConfig) -> np.ndarray:
         else:
             p_arm = float(base <= deadline)
 
-    table = np.zeros((4, 4))
-    for branch in eng.branches:
-        alice = branch.prob * _click_table(np.array(branch.pattern), noise)
-        bob_clicks = _click_table(np.array(branch.out_patterns), noise)
-        unfired = eng.bob_pattern_probs(branch, 0.0, False, sigma) @ bob_clicks
-        table += np.outer(alice, unfired)
-        if p_arm:
-            # only a lone D2 trigger (row 2) fires the cell
-            fired = eng.bob_pattern_probs(branch, 0.0, True, sigma) @ bob_clicks
-            table[2] += alice[2] * p_arm * (fired - unfired)
+    unfired, fired = eng.count_tables(cfg.phi_grid, cfg.noise.dephasing_sigma)
+    clicks = _click_table(_COUNTS, cfg.noise)  # (9, 4)
+    table = clicks.T @ unfired @ clicks
+    if p_arm:
+        # only a lone D2 trigger (row 2) fires the cell
+        table[:, 2] += p_arm * (clicks[:, 2] @ (fired - unfired) @ clicks)
     return table
 
 
@@ -409,19 +391,19 @@ def _draw(cdf: np.ndarray, u: float) -> int:
 
 def run_trial(
     bench: Bench, phi: float, cfg: RunConfig, rng: np.random.Generator,
-    engine: _PhiEngine | None = None,
+    engine: _TransferEngine | None = None,
 ) -> TrialRecord:
     """One complete shot through the protocol, with the full event log."""
     if cfg.input_theta is not None:
         bench = bench.with_input_theta(cfg.input_theta)
-    eng = engine if engine is not None else _PhiEngine(bench, phi)
+    eng = engine if engine is not None else _TransferEngine(bench)
     noise, timing = cfg.noise, cfg.timing
-
-    # Alice's Bell measurement: Born-rule outcome, then detector imperfections
-    cdf = np.cumsum(eng.alice_probs)
-    branch = eng.branches[_draw(cdf, rng.random())]
     theta = rng.normal(0.0, noise.dephasing_sigma) if noise.dephasing_sigma else 0.0
-    alice_counts = dict(zip(ALICE_DETECTORS, branch.pattern))
+    unfired, fired_counts = eng.count_tables((phi,), theta=theta)[:, 0]
+
+    # Alice's Bell measurement: Born-rule photon counts, then detector imperfections
+    alice = _draw(np.cumsum(unfired.sum(axis=1)), rng.random())
+    alice_counts = dict(zip(ALICE_DETECTORS, map(int, _COUNTS[alice])))
     alice_clicks = thin_by_efficiency(alice_counts, noise.qe, rng,
                                       noise.dark_count_prob, at_time_ns=0.0)
     bell = classify(alice_clicks)
@@ -443,12 +425,10 @@ def run_trial(
         armed = rr.armed_in_time
         fired = effective_correction(trigger, armed)
 
-    # Bob's side: dephasing + conditional sigma_z + verification optics
-    pat_probs = eng.bob_pattern_probs(branch, theta, fired)
-    bob_idx = _draw(np.cumsum(pat_probs), rng.random())
-    bob_pattern = branch.out_patterns[bob_idx]
+    # Bob's side: his photon counts given Alice's, after the conditional sigma_z
+    bob = _draw(np.cumsum((fired_counts if fired else unfired)[alice]), rng.random())
     arrival = bench.delay_m * timing.delay_ns_per_m
-    bob_counts = dict(zip(BOB_DETECTORS, bob_pattern))
+    bob_counts = dict(zip(BOB_DETECTORS, map(int, _COUNTS[bob])))
     bob_clicks = thin_by_efficiency(bob_counts, noise.qe, rng,
                                     noise.dark_count_prob, at_time_ns=arrival)
 
@@ -461,56 +441,33 @@ def run_trial(
                        bell.idle, log)
 
 
-def _sweep_point(
-    bench: Bench, cfg: RunConfig, phi: float, rng: np.random.Generator
-) -> tuple[np.ndarray, int]:
-    """All trials at one phase point as one multinomial draw over the exact
-    kept cells; returns (pair counts, kept)."""
-    # (D1, D2 trigger) x (Bob D1* only, D2* only, both)
-    cells = np.maximum(outcome_distribution(_PhiEngine(bench, phi), cfg)[1:3, 1:], 0.0)
-    p = np.append(cells.ravel(), 1.0 - cells.sum())  # last: discarded
-    draw = rng.multinomial(cfg.trials_per_phi, p)[:-1].reshape(2, 3)
-    # a both-clicks trial counts toward both of its trigger's pairs
-    counts = (draw[:, :2] + draw[:, 2:]).ravel()
-    return counts, int(draw.sum())
-
-
-def _sweep_task(args):
-    bench, cfg, phi, seed_seq = args
-    rng = np.random.Generator(np.random.PCG64(seed_seq))
-    counts, kept = _sweep_point(bench, cfg, phi, rng)
-    return counts, kept
-
-
 def run_sweep(
     bench: Bench, cfg: RunConfig, seed: int = 0, workers: int = 1
 ) -> FringeData:
     """Accumulate coincidence counts over the phase grid.
 
-    Each phase point owns an independent child stream of ``seed``, so the
-    result is identical for any worker count; workers parallelize over
-    phase points.
+    The exact outcome tables of the whole grid come from one batched pass;
+    each phase point's trials are then one multinomial draw from its own
+    child stream of ``seed``.  ``workers`` must be >= 1 and has no effect:
+    there is no per-point work left to spread over processes.
     """
+    if workers < 1:
+        raise BadParam(f"workers must be >= 1, got {workers}")
     if cfg.input_theta is not None:
         bench = bench.with_input_theta(cfg.input_theta)
-    _require_protocol_bench(bench)
     grid = cfg.phi_grid
-    seeds = np.random.SeedSequence(seed).spawn(len(grid))
-    tasks = [(bench, cfg, phi, s) for phi, s in zip(grid, seeds)]
-    if workers > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(workers) as pool:
-            results = pool.map(_sweep_task, tasks)
-    else:
-        results = [_sweep_task(t) for t in tasks]
-
-    counts = {p: np.zeros(len(grid), dtype=np.int64) for p in PAIR_NAMES}
-    kept = np.zeros(len(grid), dtype=np.int64)
-    for i, (c, k) in enumerate(results):
-        for j, pair in enumerate(PAIR_NAMES):
-            counts[pair][i] = c[j]
-        kept[i] = k
+    tables = outcome_distribution(_TransferEngine(bench), cfg)
+    # (D1, D2 trigger) x (Bob D1* only, D2* only, both)
+    cells = np.maximum(tables[:, 1:3, 1:], 0.0).reshape(len(grid), 6)
+    draws = np.zeros((len(grid), 2, 3), dtype=np.int64)
+    for i, s in enumerate(np.random.SeedSequence(seed).spawn(len(grid))):
+        p = np.append(cells[i], 1.0 - cells[i].sum())  # last: discarded
+        rng = np.random.Generator(np.random.PCG64(s))
+        draws[i] = rng.multinomial(cfg.trials_per_phi, p)[:-1].reshape(2, 3)
+    # a both-clicks trial counts toward both of its trigger's pairs
+    pairs = (draws[:, :, :2] + draws[:, :, 2:]).reshape(len(grid), 4)
+    counts = {pair: pairs[:, j] for j, pair in enumerate(PAIR_NAMES)}
+    kept = draws.sum(axis=(1, 2))
     total = np.full(len(grid), cfg.trials_per_phi, dtype=np.int64)
     return FringeData(tuple(grid), counts, kept, total)
 

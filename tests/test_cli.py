@@ -62,6 +62,30 @@ class TestRun:
         assert code == 2
         assert "internal error" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("steps", ["0", "2"])
+    def test_too_few_phi_steps_exits_2(self, tmp_path, capsys, steps):
+        code = run_cli("run", "--phi-steps", steps, "--trials", "10", "--out", str(tmp_path))
+        assert code == 2
+        assert "phase steps" in capsys.readouterr().err
+        assert not (tmp_path / "fringe.csv").exists()
+
+    @pytest.mark.parametrize("command", ["run", "reproduce-paper"])
+    def test_workers_below_one_exits_2(self, tmp_path, capsys, command):
+        code = run_cli(command, "--workers", "-3", "--trials", "10", "--phi-steps", "5",
+                       "--out", str(tmp_path))
+        assert code == 2
+        assert "workers" in capsys.readouterr().err
+
+    def test_non_numeric_manifest_value_exits_3(self, tmp_path, capsys):
+        run_cli("run", "--trials", "50", "--phi-steps", "5", "--out", str(tmp_path / "a"))
+        manifest = tmp_path / "a" / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace("seed=0", "seed=abc"))
+        capsys.readouterr()
+        code = run_cli("run", "--manifest", str(manifest), "--out", str(tmp_path / "b"))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "seed='abc'" in err and err.count("\n") == 1
+
     def test_bogus_mode_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             run_cli("run", "--mode", "bogus", "--out", str(tmp_path))
@@ -140,10 +164,49 @@ class TestAnalyze:
             assert printed == pytest.approx(fit.sigma_phi0, abs=5e-7)
 
     def test_too_few_phases_exits_3(self, tmp_path, capsys):
-        run_cli("run", "--trials", "100", "--phi-steps", "3", "--out", str(tmp_path))
+        # run refuses fewer than 4 steps, so keep 3 of a 5-step run's phases
+        run_cli("run", "--trials", "100", "--phi-steps", "5", "--out", str(tmp_path))
+        csv = tmp_path / "fringe.csv"
+        csv.write_text("".join(csv.read_text().splitlines(keepends=True)[:13]))
         capsys.readouterr()
-        assert run_cli("analyze", str(tmp_path / "fringe.csv")) == 3
+        assert run_cli("analyze", str(csv)) == 3
         assert "internal error" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", [
+        lambda rows: ["phi,pair,n,kept,total"] + rows[1:],
+        lambda rows: [r.replace("D1-D1*", "D1-D3*") for r in rows],
+        lambda rows: rows[:4] + rows[5:],  # phi=0 without D2-D2*
+        lambda rows: rows[:2] + [rows[1]] + rows[3:],  # D1-D1* twice
+        lambda rows: [r.replace("D1-D2*,", "D1-D2*,x") for r in rows],
+    ], ids=["header", "pair-name", "missing-pair", "repeated-pair", "bad-number"])
+    def test_malformed_csv_exits_3(self, tmp_path, capsys, damage):
+        run_cli("run", "--trials", "100", "--phi-steps", "5", "--out", str(tmp_path))
+        csv = tmp_path / "fringe.csv"
+        csv.write_text("\n".join(damage(csv.read_text().splitlines())) + "\n")
+        capsys.readouterr()
+        assert run_cli("analyze", str(csv)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_truncated_csv_row_exits_3(self, tmp_path, capsys):
+        run_cli("run", "--trials", "100", "--phi-steps", "5", "--out", str(tmp_path))
+        csv = tmp_path / "fringe.csv"
+        csv.write_text(csv.read_text()[:-9])  # cut the last row mid-field
+        capsys.readouterr()
+        assert run_cli("analyze", str(csv)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_kept_disagreeing_within_a_phase_exits_3(self, tmp_path, capsys):
+        run_cli("run", "--trials", "100", "--phi-steps", "5", "--out", str(tmp_path))
+        csv = tmp_path / "fringe.csv"
+        lines = csv.read_text().splitlines()
+        phi, pair, c, kept, total = lines[2].split(",")
+        lines[2] = ",".join((phi, pair, c, str(int(kept) + 1), total))
+        csv.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli("analyze", str(csv)) == 3
+        assert "trials_kept" in capsys.readouterr().err
 
     def test_noiseless_run_beats_bound(self, tmp_path, capsys):
         run_cli("run", "--trials", "5000", "--phi-steps", "9", "--seed", "2",

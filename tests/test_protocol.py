@@ -12,8 +12,7 @@ from fockbench.protocol import (
     QubitSpec,
     RunConfig,
     RunMode,
-    _PhiEngine,
-    _sweep_point,
+    _TransferEngine,
     analytic_coincidences,
     classify,
     default_phi_grid,
@@ -155,36 +154,37 @@ class TestRunTrial:
                 assert len(rec.bob_clicks.clicked()) == 1
 
 
+def alice_marginal(bench, phi):
+    """Probability of Alice's photon counts, indexed n(D1) + 3 n(D2)."""
+    return _TransferEngine(bench).count_tables((phi,))[0, 0].sum(axis=1)
+
+
 class TestCorrectionClosure:
     @pytest.mark.parametrize("phi", [0.0, 0.7, 2.2, 4.5])
     def test_sigma_z_restores_the_psi3_branch_state(self, bench, phi):
-        eng = _PhiEngine(bench, phi)
-        by_pattern = {b.pattern: b for b in eng.branches}
-        psi3 = by_pattern[(1, 0)]
-        psi4 = by_pattern[(0, 1)]
-        ia = [psi3.collapsed.index_of(m) for m in eng.alice_modes]
+        # amplitude of one photon at an Alice detector and one in mode k,
+        # just before the cell: a 2x2 permanent of the source rows
+        eng = _TransferEngine(bench)
+        u = eng.at_cell((phi,))[0]
+        idx = {m: i for i, m in enumerate(bench.modes)}
+        d1, d2 = idx[bench.detectors["D1"]], idx[bench.detectors["D2"]]
 
-        def bob_restriction(branch, fire):
-            out = {}
-            for occ, amp in branch.collapsed.amplitudes.items():
-                if fire and occ[branch.collapsed.index_of(eng.channel_mode)] % 2:
-                    amp = -amp
-                key = tuple(n for i, n in enumerate(occ) if i not in ia)
-                out[key] = amp
-            return out
+        def bob_restriction(alice, fire):
+            amps = u[0, alice] * u[1] + u[1, alice] * u[0]
+            if fire:
+                amps[eng.channel] = -amps[eng.channel]
+            return np.delete(amps, [d1, d2])
 
-        uncorrected = bob_restriction(psi3, fire=False)
-        corrected = bob_restriction(psi4, fire=True)
-        for key in set(uncorrected) | set(corrected):
-            assert abs(uncorrected.get(key, 0j) - corrected.get(key, 0j)) < 1e-12
+        uncorrected = bob_restriction(d1, fire=False)
+        corrected = bob_restriction(d2, fire=True)
+        assert abs(uncorrected).max() > 0.1
+        assert abs(uncorrected - corrected).max() < 1e-12
 
     def test_branch_probabilities_are_exact(self, bench):
-        eng = _PhiEngine(bench, 1.3)
-        total = sum(b.prob for b in eng.branches)
-        assert total == pytest.approx(1.0, abs=1e-12)
-        by_pattern = {b.pattern: b.prob for b in eng.branches}
-        assert by_pattern[(1, 0)] == pytest.approx(0.25, abs=1e-12)
-        assert by_pattern[(0, 1)] == pytest.approx(0.25, abs=1e-12)
+        marginal = alice_marginal(bench, 1.3)
+        assert marginal.sum() == pytest.approx(1.0, abs=1e-12)
+        assert marginal[1] == pytest.approx(0.25, abs=1e-12)  # (1, 0): Psi3
+        assert marginal[3] == pytest.approx(0.25, abs=1e-12)  # (0, 1): Psi4
 
 
 class TestRunSweep:
@@ -231,6 +231,12 @@ class TestRunSweep:
         assert all((a.counts[p] == b.counts[p]).all() for p in PAIR_NAMES)
         assert (a.trials_kept == b.trials_kept).all()
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_worker_count_below_one_is_rejected(self, bench, workers):
+        cfg = RunConfig(trials_per_phi=10, phi_grid=(0.0,))
+        with pytest.raises(BadParam):
+            run_sweep(bench, cfg, seed=0, workers=workers)
+
     def test_inhibited_d2_fringe_is_pi_flipped(self, bench):
         cfg = RunConfig(mode=RunMode.ACTIVE_INHIBITED, trials_per_phi=20_000,
                         phi_grid=(0.0,))
@@ -272,9 +278,53 @@ def chi2_sf(x: float, dof: int) -> float:
     return 1.0 - total * math.exp(a * math.log(y) - y - math.lgamma(a))
 
 
+# both photons can share the cell's V mode (path a), so the two-photon
+# channel term S2 is nonzero, which the builtin bench never exercises
+BUNCHING_BENCH = """
+path a
+path b
+path c
+path d
+source photon a V
+source photon c V
+bs a c theta=0.6
+phase a knob
+bs a b theta=0.7
+bs c d theta=0.5
+delay a length_m=8.0
+eop a
+bs a b theta=0.7853981633974483
+detector D1 c V
+detector D2 d V
+detector D1* a V
+detector D2* b V
+"""
+
+
+def fock_click_table(bench, phi, armed):
+    """Independent derivation: propagate the Fock state through the whole
+    pipeline, the cell disarmed or armed, and read off the ideal click table."""
+    from fockbench.elements import apply_element, phase_shifter
+    from fockbench.fock import create_photon, make_vacuum
+
+    det = [bench.modes.index(bench.detectors[d]) for d in ("D1", "D2", "D1*", "D2*")]
+    st = make_vacuum(bench.modes)
+    for m in bench.sources:
+        st = create_photon(st, m)
+    for e in bench.pipeline:
+        if e.is_knob:
+            e = phase_shifter(e.paths[0], phi, knob=True)
+        st = apply_element(st, e, armed=armed)
+    out = np.zeros((4, 4))
+    for occ, amp in st.amplitudes.items():
+        hit = [occ[i] > 0 for i in det]
+        out[hit[0] + 2 * hit[1], hit[2] + 2 * hit[3]] += abs(amp) ** 2
+    return out
+
+
 def table(bench, phi, mode, noise=FULL_NOISE, timing=JITTERED):
-    cfg = RunConfig(mode=mode, noise=noise, timing=timing)
-    return outcome_distribution(_PhiEngine(bench, phi), cfg)
+    cfg = RunConfig(mode=mode, noise=noise, timing=timing, phi_grid=(phi,))
+    return outcome_distribution(_TransferEngine(bench), cfg)[0]
 
 
 class TestOutcomeDistribution:
@@ -312,8 +362,8 @@ class TestOutcomeDistribution:
     def test_chi_square_against_run_trial_shots(self, bench, phi):
         # run_trial samples theta, the thinning and the jittered race itself
         cfg = RunConfig(mode=RunMode.ACTIVE, trials_per_phi=1, noise=FULL_NOISE,
-                        timing=JITTERED)
-        eng = _PhiEngine(bench, phi)
+                        timing=JITTERED, phi_grid=(phi,))
+        eng = _TransferEngine(bench)
         rng = np.random.default_rng(1234)
         shots = 10_000
         observed = np.zeros((4, 4))
@@ -321,21 +371,61 @@ class TestOutcomeDistribution:
             rec = run_trial(bench, phi, cfg, rng, engine=eng)
             a, b = rec.alice_clicks.clicks, rec.bob_clicks.clicks
             observed[a["D1"] + 2 * a["D2"], b["D1*"] + 2 * b["D2*"]] += 1
-        expected = shots * outcome_distribution(eng, cfg)
+        expected = shots * outcome_distribution(eng, cfg)[0]
         small = expected < 5  # pooled into one cell
         obs = np.append(observed[~small], observed[small].sum())
         exp = np.append(expected[~small], expected[small].sum())
         chi2 = float(((obs - exp) ** 2 / exp).sum())
         assert chi2_sf(chi2, len(obs) - 1) >= 1e-6
 
+    @pytest.mark.parametrize("phi", [0.0, 0.9, 2.5, 4.1])
+    @pytest.mark.parametrize("which", ["builtin", "bunching"])
+    def test_ideal_tables_match_fock_projection(self, bench, phi, which):
+        from fockbench.bench import parse
+
+        if which == "bunching":
+            bench = parse(BUNCHING_BENCH)
+        # qe 1, no dark counts, sigma 0 and the stock 22 ns < 24 ns race: p_arm = 1
+        got = table(bench, phi, RunMode.ACTIVE, NoiseModel(), TimingModel())
+        armed, disarmed = fock_click_table(bench, phi, True), fock_click_table(bench, phi, False)
+        assert got[2] == pytest.approx(armed[2], abs=1e-12)  # the fired row
+        rows = [0, 1, 3]
+        assert got[rows] == pytest.approx(disarmed[rows], abs=1e-12)
+        assert abs(armed[2] - disarmed[2]).max() > 0.01  # the cell matters here
+
+    @pytest.mark.parametrize("fired", [0, 1])
+    def test_dephasing_average_equals_quadrature_over_theta(self, fired):
+        from fockbench.bench import parse
+
+        # Gauss-Hermite quadrature of the explicit-theta tables over
+        # theta ~ N(0, sigma^2) against the closed-form average, on a bench
+        # where the channel carries 0, 1 or 2 photons
+        eng = _TransferEngine(parse(BUNCHING_BENCH))
+        phis, sigma = (0.4, 2.9), 0.7
+        x, w = np.polynomial.hermite.hermgauss(60)
+        quad = sum(wi * eng.count_tables(phis, theta=math.sqrt(2) * sigma * xi)[fired]
+                   for xi, wi in zip(x, w)) / math.sqrt(math.pi)
+        exact = eng.count_tables(phis, sigma=sigma)[fired]
+        assert np.abs(quad - exact).max() < 1e-12
+        assert np.abs(exact - eng.count_tables(phis)[fired]).max() > 1e-3
+
+    def test_batched_grid_equals_one_phase_at_a_time(self, bench):
+        eng = _TransferEngine(bench)
+        cfg = RunConfig(mode=RunMode.ACTIVE, noise=FULL_NOISE, timing=JITTERED)
+        batched = outcome_distribution(eng, cfg)
+        assert batched.shape == (len(cfg.phi_grid), 4, 4)
+        for i, phi in enumerate(cfg.phi_grid):
+            one = RunConfig(mode=RunMode.ACTIVE, noise=FULL_NOISE, timing=JITTERED,
+                            phi_grid=(phi,))
+            assert np.abs(batched[i] - outcome_distribution(eng, one)[0]).max() <= 1e-15
+
     def test_sweep_point_memory_does_not_grow_with_trials(self, bench):
         def peak(trials):
             cfg = RunConfig(mode=RunMode.ACTIVE, trials_per_phi=trials,
-                            noise=FULL_NOISE, timing=JITTERED)
-            rng = np.random.default_rng(0)
+                            noise=FULL_NOISE, timing=JITTERED, phi_grid=(1.0,))
             tracemalloc.start()
             try:
-                _sweep_point(bench, cfg, 1.0, rng)
+                run_sweep(bench, cfg, seed=0)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -371,6 +461,33 @@ class TestConfig:
         )
         with pytest.raises(ProtocolError):
             run_sweep(no_eop, RunConfig(trials_per_phi=1, phi_grid=(0.0,)), seed=0)
+
+
+    @pytest.mark.parametrize("sources", ["one", "same-mode"])
+    def test_protocol_needs_two_sources_on_distinct_modes(self, bench, sources):
+        from fockbench.bench import Bench
+
+        src = bench.sources[:1] if sources == "one" else bench.sources[:1] * 2
+        odd = Bench(bench.path_names, src, bench.pipeline, dict(bench.detectors))
+        with pytest.raises(ProtocolError):
+            run_sweep(odd, RunConfig(trials_per_phi=1, phi_grid=(0.0,)), seed=0)
+
+    def test_protocol_needs_the_knob_before_the_cell(self, bench):
+        from fockbench.bench import Bench
+        from fockbench.elements import phase_shifter
+
+        # the knob moved onto Bob's output path, past the cell
+        knob = bench.knob_index
+        moved = (bench.pipeline[:knob] + bench.pipeline[knob + 1:]
+                 + (phase_shifter(bench.path_index("b2"), knob=True),))
+        late = Bench(bench.path_names, bench.sources, moved, dict(bench.detectors))
+        with pytest.raises(ProtocolError):
+            run_sweep(late, RunConfig(trials_per_phi=1, phi_grid=(0.0,)), seed=0)
+
+    @pytest.mark.parametrize("steps", [0, 2, 3])
+    def test_grid_too_coarse_to_fit_is_rejected(self, steps):
+        with pytest.raises(BadParam):
+            default_phi_grid(steps)
 
 
 class TestPhaseFromPosition:
@@ -409,8 +526,7 @@ class TestQubitSpec:
         q = QubitSpec(math.sin(0.4), math.cos(0.4))
         theta, _ = q.bench_settings()
         retuned = bench.with_input_theta(theta)
-        eng = _PhiEngine(retuned, 0.0)
-        probs = {b.pattern: b.prob for b in eng.branches}
         # the vacuum amplitude rides the ancilla branch, so the no-Alice-click
         # (both photons at Bob) weight is |alpha|^2 / 2
-        assert probs[(0, 0)] == pytest.approx(abs(q.alpha) ** 2 / 2, abs=1e-12)
+        no_click = alice_marginal(retuned, 0.0)[0]
+        assert no_click == pytest.approx(abs(q.alpha) ** 2 / 2, abs=1e-12)
