@@ -1,65 +1,28 @@
 """Simulator of an all-optical vacuum/one-photon qubit teleportation bench.
 
 The package models the bench end to end: exact truncated Fock-state
-propagation through the optical elements, Born-rule Monte Carlo with
-detector and dephasing noise, the classical feed-forward timing race that
-arms the Pockels-cell correction, and the fringe-fit analysis that turns
-coincidence counts into visibility and fidelity figures.
+propagation through the optical elements, exact click-pattern tables with
+detector and dephasing noise that sweeps and single shots sample, the
+classical feed-forward timing race that arms the Pockels-cell correction,
+and the fringe-fit analysis that turns coincidence counts into visibility
+and fidelity figures.
 """
 
-from .fock import (
-    FockState,
-    ModeId,
-    Polarization,
-    apply_phase,
-    apply_two_mode_unitary,
-    create_photon,
-    make_vacuum,
-    partial_probability,
-    project,
-)
-from .elements import (
-    Element,
-    ElementKind,
-    EopConfig,
-    apply_element,
-    apply_eop,
-    beam_splitter,
-    delay_line,
-    half_wave_plate,
-    phase_shifter,
-    pockels_cell,
-    polarizing_bs,
-    quarter_wave_plate,
-)
-from .bench import Bench, BenchError, Diagnostic, builtin_figure1, parse, validate
-from .noise import (
-    ClickPattern,
-    NoiseModel,
-    apply_channel_dephasing,
-    calibrate_sigma,
-    sample_occupations,
-    thin_by_efficiency,
-)
-from .timing import EventLog, TimingModel, effective_correction, race
+from .fock import ModeId, Polarization, apply_two_mode_unitary, create_photon, make_vacuum
+from .elements import EopConfig, apply_eop
+from .bench import builtin_figure1
+from .noise import calibrate_sigma
+from .timing import TimingModel, effective_correction, race
 from .protocol import (
-    AnalyticCoincidences,
-    BellOutcome,
-    FringeData,
-    QubitSpec,
     RunConfig,
     RunMode,
-    TrialRecord,
     analytic_coincidences,
-    classify,
     phase_from_position,
     position_from_phase,
     run_sweep,
     run_trial,
 )
 from .analysis import (
-    CLASSICAL_FIDELITY_BOUND,
-    FitResult,
     classical_bound_check,
     error_propagation,
     fidelity_from_visibility,
@@ -67,62 +30,29 @@ from .analysis import (
 )
 
 __all__ = [
-    "FockState",
     "ModeId",
     "Polarization",
     "make_vacuum",
     "create_photon",
     "apply_two_mode_unitary",
-    "apply_phase",
-    "partial_probability",
-    "project",
-    "Element",
-    "ElementKind",
     "EopConfig",
-    "apply_element",
     "apply_eop",
-    "beam_splitter",
-    "phase_shifter",
-    "polarizing_bs",
-    "quarter_wave_plate",
-    "half_wave_plate",
-    "pockels_cell",
-    "delay_line",
-    "Bench",
-    "BenchError",
-    "Diagnostic",
-    "parse",
-    "validate",
     "builtin_figure1",
-    "NoiseModel",
-    "ClickPattern",
-    "sample_occupations",
-    "thin_by_efficiency",
-    "apply_channel_dephasing",
     "calibrate_sigma",
     "TimingModel",
-    "EventLog",
     "race",
     "effective_correction",
     "RunMode",
     "RunConfig",
-    "BellOutcome",
-    "TrialRecord",
-    "FringeData",
-    "QubitSpec",
-    "AnalyticCoincidences",
-    "classify",
     "run_trial",
     "run_sweep",
     "analytic_coincidences",
     "phase_from_position",
     "position_from_phase",
-    "FitResult",
     "fit_fringe",
     "fidelity_from_visibility",
     "error_propagation",
     "classical_bound_check",
-    "CLASSICAL_FIDELITY_BOUND",
 ]
 
 __version__ = "0.1.0"

@@ -20,7 +20,7 @@ compile time and never reordered afterwards.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 
 from . import elements as el
@@ -100,9 +100,8 @@ class Bench:
             )
         old = self.pipeline[target]
         new = el.beam_splitter(old.paths[0], old.paths[1], theta)
-        pipeline = self.pipeline[:target] + (new,) + self.pipeline[target + 1 :]
-        return Bench(self.path_names, self.sources, pipeline, dict(self.detectors),
-                     dict(self.source_lines))
+        return replace(self, pipeline=self.pipeline[:target] + (new,)
+                       + self.pipeline[target + 1 :])
 
     def to_text(self) -> str:
         out = []

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -57,12 +58,10 @@ def sparkline(values) -> str:
 
 
 def _with_delay(bench: Bench, delay_m: float) -> Bench:
-    pipeline = tuple(
+    return replace(bench, pipeline=tuple(
         delay_line(e.paths[0], delay_m) if e.kind is ElementKind.DELAY_LINE else e
         for e in bench.pipeline
-    )
-    return Bench(bench.path_names, bench.sources, pipeline, dict(bench.detectors),
-                 dict(bench.source_lines))
+    ))
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
@@ -82,14 +81,12 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input-theta", type=float, default=None,
                    help="qubit-preparation splitter angle (radians)")
     p.add_argument("--bench", default=None, help="bench file (default: builtin)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="accepted for compatibility; must be >= 1, has no effect")
 
 
 _MANIFEST_KEYS = (
     "bench", "dark_prob", "delay_m", "dephasing_sigma", "input_theta",
     "jitter_ns", "mode", "ns_per_m", "phi_steps", "qe", "risetime_ns",
-    "seed", "trials", "workers",
+    "seed", "trials",
 )
 
 
@@ -106,7 +103,7 @@ def _manifest_text(args: argparse.Namespace) -> str:
 def _load_manifest(path: str, args: argparse.Namespace) -> None:
     text = Path(path).read_text(encoding="utf-8")
     casts = {
-        "trials": int, "phi_steps": int, "seed": int, "workers": int,
+        "trials": int, "phi_steps": int, "seed": int,
         "qe": float, "dephasing_sigma": float, "dark_prob": float,
         "risetime_ns": float, "jitter_ns": float, "ns_per_m": float,
         "delay_m": float, "input_theta": float,
@@ -151,7 +148,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.manifest:
         _load_manifest(args.manifest, args)
     bench, cfg = _build_run(args)
-    data = run_sweep(bench, cfg, seed=args.seed, workers=args.workers)
+    data = run_sweep(bench, cfg, seed=args.seed)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -254,12 +251,10 @@ def cmd_reproduce_paper(args: argparse.Namespace) -> int:
                          timing=TimingModel())
 
     runs = {
-        "passive": run_sweep(bench, cfg(RunMode.PASSIVE, sigma_passive),
-                             seed=args.seed, workers=args.workers),
+        "passive": run_sweep(bench, cfg(RunMode.PASSIVE, sigma_passive), seed=args.seed),
         "inhibited": run_sweep(bench, cfg(RunMode.ACTIVE_INHIBITED, sigma_total),
-                               seed=args.seed + 1, workers=args.workers),
-        "active": run_sweep(bench, cfg(RunMode.ACTIVE, sigma_total),
-                            seed=args.seed + 2, workers=args.workers),
+                               seed=args.seed + 1),
+        "active": run_sweep(bench, cfg(RunMode.ACTIVE, sigma_total), seed=args.seed + 2),
     }
     if args.out:
         out = Path(args.out)
@@ -340,8 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--trials", type=int, default=20000)
     p_rep.add_argument("--phi-steps", type=int, default=25)
     p_rep.add_argument("--seed", type=int, default=0)
-    p_rep.add_argument("--workers", type=int, default=1,
-                       help="accepted for compatibility; must be >= 1, has no effect")
     p_rep.add_argument("--bench", default=None)
     p_rep.add_argument("--out", default=None)
     p_rep.add_argument("--passive-visibility", type=float, default=0.906)

@@ -27,10 +27,8 @@ class ElementKind(Enum):
     PHASE_SHIFTER = "phase"
     POCKELS_CELL = "eop"
     POLARIZING_BS = "pbs"
-    HALF_WAVE_PLATE = "hwp"
     QUARTER_WAVE_PLATE = "qwp"
     DELAY_LINE = "delay"
-    MIRROR = "mirror"
 
 
 @dataclass(frozen=True)
@@ -124,13 +122,6 @@ def quarter_wave_plate(path: int, angle: float) -> Element:
     return Element(ElementKind.QUARTER_WAVE_PLATE, (path,), (angle,), actions=(act,))
 
 
-def half_wave_plate(path: int, angle: float) -> Element:
-    """Half-wave Jones unitary ``R(a) diag(1, -1) R(-a)``; at 45 deg swaps H/V."""
-    hw = _rot(angle) @ np.diag([1.0, -1.0]) @ _rot(-angle)
-    act = _u2(ModeId(path, H), ModeId(path, V), hw)
-    return Element(ElementKind.HALF_WAVE_PLATE, (path,), (angle,), actions=(act,))
-
-
 def pockels_cell(path: int) -> Element:
     """V-only half-wave switch; the armed/disarmed decision is made per trial."""
     return Element(ElementKind.POCKELS_CELL, (path,))
@@ -145,9 +136,8 @@ def delay_line(path: int, length_m: float) -> Element:
 
 @dataclass(frozen=True)
 class EopConfig:
-    """Pockels-cell drive: the 1.4 kV amplitude is metadata, arming is state."""
+    """Pockels-cell drive: whether the cell is armed."""
 
-    v_half_wave_kv: float = 1.4
     armed: bool = False
 
 

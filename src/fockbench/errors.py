@@ -31,10 +31,6 @@ class ImpossibleOutcome(FockbenchError):
     pass
 
 
-class NotNormalized(FockbenchError):
-    pass
-
-
 # ---- optical elements ----
 
 class BadParam(FockbenchError):

@@ -28,7 +28,6 @@ from .errors import (
     EmptyModes,
     ImpossibleOutcome,
     NonUnitary,
-    NotNormalized,
     TruncationOverflow,
     UnknownMode,
 )
@@ -283,8 +282,3 @@ def project(
         raise ImpossibleOutcome(f"pattern {dict(pattern)} has zero probability")
     inv = 1.0 / math.sqrt(p)
     return state._replace({occ: a * inv for occ, a in kept.items()}), p
-
-
-def assert_normalized(state: FockState, tol: float = 1e-9) -> None:
-    if abs(state.norm_sq() - 1.0) > tol:
-        raise NotNormalized(f"norm^2 = {state.norm_sq():.12f}")

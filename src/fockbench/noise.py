@@ -1,8 +1,9 @@
-"""Randomness-bearing models: detection, dark counts, channel dephasing.
+"""Detector and channel noise: the model's knobs and the detector rule.
 
-All draws go through a caller-supplied ``numpy.random.Generator`` so trial
-streams are reproducible; parallel workers must each own an independent
-stream.
+Nothing here draws random numbers.  ``click_table`` gives the exact click
+probabilities of a detector pair for every photon count; the sweep averages
+it into each phase point's outcome table, and ``run_trial`` samples the
+same tables one shot at a time.
 """
 
 from __future__ import annotations
@@ -12,9 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fock
-from .errors import BadCalibration, BadParam, NotNormalized
-from .fock import FockState, ModeId, Occupation
+from .errors import BadCalibration, BadParam
 
 
 @dataclass(frozen=True)
@@ -55,78 +54,18 @@ class ClickPattern:
         return hits[0] if len(hits) == 1 else None
 
 
-def sample_occupations(state: FockState, rng: np.random.Generator) -> Occupation:
-    """Draw one basis entry with Born-rule probability |amplitude|**2."""
-    if abs(state.norm_sq() - 1.0) > 1e-9:
-        raise NotNormalized(f"state norm^2 = {state.norm_sq():.9f}")
-    entries = sorted(state.amplitudes.items())
-    probs = np.array([abs(a) ** 2 for _, a in entries])
-    cdf = np.cumsum(probs)
-    i = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
-    return entries[min(i, len(entries) - 1)][0]
+def click_table(noise: NoiseModel) -> np.ndarray:
+    """(9, 4) click-pattern probabilities of a detector pair per photon count.
 
-
-def sample_mode_pattern(
-    state: FockState, modes: list[ModeId], rng: np.random.Generator
-) -> tuple[int, ...]:
-    """Born-rule draw of the joint occupation of ``modes`` (marginal)."""
-    if abs(state.norm_sq() - 1.0) > 1e-9:
-        raise NotNormalized(f"state norm^2 = {state.norm_sq():.9f}")
-    idx = [state.index_of(m) for m in modes]
-    marginal: dict[tuple[int, ...], float] = {}
-    for occ, amp in state.amplitudes.items():
-        key = tuple(occ[i] for i in idx)
-        marginal[key] = marginal.get(key, 0.0) + abs(amp) ** 2
-    keys = sorted(marginal)
-    cdf = np.cumsum([marginal[k] for k in keys])
-    i = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
-    return keys[min(i, len(keys) - 1)]
-
-
-def click_probability(n_photons: int, qe: float) -> float:
-    """Chance a non-number-resolving detector fires on n photons."""
-    return 1.0 - (1.0 - qe) ** n_photons
-
-
-def thin_by_efficiency(
-    pattern_ideal: dict[str, int],
-    qe: float,
-    rng: np.random.Generator,
-    dark_count_prob: float = 0.0,
-    at_time_ns: float = 0.0,
-) -> ClickPattern:
-    """Each photon registers independently with probability qe.
-
-    A detector clicks when at least one photon registers or a dark count
-    fires; non-number-resolving, so the click carries no photon count.
+    Rows index the photons at the pair as n1 + 3 * n2 (0-2 each), columns
+    the pattern click1 + 2 * click2.  A non-number-resolving detector fires
+    when at least one of its n photons registers, each with probability qe,
+    or a dark count fires; the two detectors fire independently.
     """
-    if not 0.0 <= qe <= 1.0:
-        raise BadParam(f"qe {qe} outside [0, 1]")
-    out = ClickPattern()
-    for name, n in pattern_ideal.items():
-        hit = rng.random() < click_probability(n, qe) if n else False
-        if dark_count_prob and rng.random() < dark_count_prob:
-            hit = True
-        out.clicks[name] = bool(hit)
-        if hit:
-            out.timestamps_ns[name] = at_time_ns
-    return out
-
-
-def apply_channel_dephasing(
-    state: FockState, mode: ModeId, sigma: float, rng: np.random.Generator
-) -> FockState:
-    """Random relative phase theta ~ N(0, sigma^2) on the channel branch.
-
-    Averaged over trials this multiplies fringe visibility by
-    exp(-sigma^2 / 2); the per-trial state stays pure and normalized.
-    """
-    if sigma < 0:
-        raise BadParam(f"sigma {sigma} negative")
-    if sigma == 0.0:
-        return state
-    theta = rng.normal(0.0, sigma)
-    return fock.apply_phase(state, mode, theta)
+    registers = 1.0 - (1.0 - noise.qe) ** np.arange(3)
+    fires = 1.0 - (1.0 - registers) * (1.0 - noise.dark_count_prob)
+    one = np.stack([1.0 - fires, fires], axis=-1)  # (photons, click) per detector
+    return (one[:, None, :, None] * one[None, :, None, :]).reshape(9, 4)
 
 
 def calibrate_sigma(v_in: float, v_out: float) -> float:

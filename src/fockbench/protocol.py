@@ -1,23 +1,24 @@
 """Complete teleportation trials: passive, active and EOP-inhibited runs.
 
-A trial propagates the two-photon state through the bench up to the Pockels
-cell, samples Alice's Bell-measurement clicks, races the feed-forward chain
-against the delay line, conditionally applies sigma_z, and finally samples
-Bob's verification detectors.  Idle outcomes (no Alice click, or an Alice
-click with no Bob click) are discarded the way the bench's coincidence
+A trial samples Alice's Bell-measurement clicks, races the feed-forward
+chain against the delay line, conditionally applies sigma_z, and finally
+samples Bob's verification detectors.  Idle outcomes (no Alice click, or an
+Alice click with no Bob click) are discarded the way the bench's coincidence
 circuit discards them.
 
-``run_sweep`` accumulates coincidence counts over a phase grid.  The bench
-upstream of the detectors is linear optics on two photons, so one engine
-composes its single-photon transfer matrices once, and every two-photon
-amplitude is a 2x2 permanent of them.  Every noise source has a closed-form
-average, so ``outcome_distribution`` gives the exact probability of each
-click pattern at every phase of the grid in one batched pass, and a phase
-point's trials are one multinomial draw: the cost of a sweep does not grow
-with the trial count.  ``run_trial`` samples the same engine one shot at a
-time, drawing each noise source, and returns a full record with the event
-log.  ``analytic_coincidences`` derives the noiseless fringe independently,
-by Fock-state projection.
+The bench upstream of the detectors is linear optics on two photons, so one
+engine composes its single-photon transfer matrices once, and every
+two-photon amplitude is a 2x2 permanent of them.  ``click_tables`` turns
+these into the exact (Alice, Bob) click-pattern tables of every phase of a
+grid, with the cell disarmed and fired, averaging the dephasing phase and
+the detectors (``noise.click_table``) in closed form.  ``run_sweep`` mixes
+the two tables by the race's arming probability (``timing``) in
+``outcome_distribution`` and makes one multinomial draw per phase point: the
+cost of a sweep does not grow with the trial count.  ``run_trial`` samples
+the same tables one shot at a time, Alice's pattern and then Bob's given
+hers, and draws only the race, whose jitter and timestamps its event log
+records.  ``analytic_coincidences`` derives the noiseless fringe
+independently, by Fock-state projection.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .bench import Bench
 from .elements import ElementKind, apply_element, phase_shifter, single_photon_matrix
 from .errors import BadParam, MalformedInput, ProtocolError
 from .fock import FockState, ModeId, Polarization
-from .noise import ClickPattern, NoiseModel, click_probability, thin_by_efficiency
+from .noise import ClickPattern, NoiseModel, click_table
 from .timing import EventLog, RaceResult, TimingModel, effective_correction, race
 
 ALICE_DETECTORS = ("D1", "D2")
@@ -85,11 +86,18 @@ def classify(alice: ClickPattern) -> BellOutcome:
     return BellOutcome.PSI1_IDLE
 
 
+def default_phi_grid(steps: int = 25) -> tuple[float, ...]:
+    """``steps`` evenly spaced phases over [0, 2 pi]; a fringe fit needs >= 4."""
+    if steps < 4:
+        raise BadParam(f"a fringe needs at least 4 phase steps, got {steps}")
+    return tuple(np.linspace(0.0, 2.0 * math.pi, steps))
+
+
 @dataclass(frozen=True)
 class RunConfig:
     mode: RunMode = RunMode.PASSIVE
     trials_per_phi: int = 1000
-    phi_grid: tuple[float, ...] = ()
+    phi_grid: tuple[float, ...] = default_phi_grid()
     input_theta: float | None = None
     noise: NoiseModel = NoiseModel()
     timing: TimingModel = TimingModel()
@@ -97,15 +105,9 @@ class RunConfig:
     def __post_init__(self):
         if self.trials_per_phi < 1:
             raise BadParam("trials_per_phi must be >= 1")
-        grid = self.phi_grid or default_phi_grid()
-        object.__setattr__(self, "phi_grid", tuple(float(p) for p in grid))
-
-
-def default_phi_grid(steps: int = 25) -> tuple[float, ...]:
-    """``steps`` evenly spaced phases over [0, 2 pi]; a fringe fit needs >= 4."""
-    if steps < 4:
-        raise BadParam(f"a fringe needs at least 4 phase steps, got {steps}")
-    return tuple(np.linspace(0.0, 2.0 * math.pi, steps))
+        if len(self.phi_grid) == 0:
+            raise BadParam("phi_grid is empty")
+        object.__setattr__(self, "phi_grid", tuple(float(p) for p in self.phi_grid))
 
 
 @dataclass
@@ -340,53 +342,44 @@ class _TransferEngine:
         return (pairs.reshape(2, len(u), -1) @ self.to_counts).reshape(2, len(u), 9, 9)
 
 
-#: photons at a detector pair per count index n1 + 3 * n2
-_COUNTS = np.array([(n1, n2) for n2 in range(3) for n1 in range(3)])
+def click_tables(eng: _TransferEngine, phis, noise: NoiseModel) -> np.ndarray:
+    """(2, P, 4, 4) exact (Alice, Bob) click-pattern probabilities at each
+    phase, cell disarmed ([0]) and fired ([1]).
 
-
-def _click_table(photons: np.ndarray, noise: NoiseModel) -> np.ndarray:
-    """(..., 2) photons at a detector pair -> (..., 4) click-pattern probabilities.
-
-    Pattern index is click1 + 2 * click2; each detector fires independently
-    on one of its photons or on a dark count.
+    Rows index Alice's pattern and columns Bob's, both as click1 + 2 * click2
+    over (D1, D2) and (D1*, D2*); each table sums to 1.  The dephasing phase
+    and the detectors are averaged out in closed form.  Firing the cell acts
+    on Bob's side only, so both tables have the same row sums.
     """
-    q = 1.0 - (1.0 - click_probability(photons, noise.qe)) * (1.0 - noise.dark_count_prob)
-    q1, q2 = q[..., 0], q[..., 1]
-    return np.stack([(1 - q1) * (1 - q2), q1 * (1 - q2), (1 - q1) * q2, q1 * q2], axis=-1)
+    clicks = click_table(noise)
+    return clicks.T @ eng.count_tables(phis, noise.dephasing_sigma) @ clicks
 
 
 def outcome_distribution(eng: _TransferEngine, cfg: RunConfig) -> np.ndarray:
     """Exact (P, 4, 4) probability of every (Alice, Bob) click pattern at
-    each phase of ``cfg.phi_grid``.
+    each phase of ``cfg.phi_grid``, indexed as in ``click_tables``.
 
-    Rows index Alice's pattern and columns Bob's, both as click1 + 2 * click2
-    over (D1, D2) and (D1*, D2*); each table sums to 1.  Detector efficiency,
-    dark counts, the dephasing phase and the jittered race are averaged out
-    in closed form.  The coincidence circuit keeps rows 1-2 (exactly one
-    Alice click: the D1 or D2 trigger) and columns 1-3 (any Bob click).
+    The jittered race is averaged out too.  The coincidence circuit keeps
+    rows 1-2 (exactly one Alice click: the D1 or D2 trigger) and columns 1-3
+    (any Bob click).
     """
-    timing = cfg.timing
     p_arm = 0.0
     if cfg.mode is RunMode.ACTIVE:
-        deadline = eng.bench.delay_m * timing.delay_ns_per_m
-        base = timing.detector_latency_ns + timing.risetime_ns
-        if timing.jitter_sigma_ns > 0:  # Phi((deadline - base) / sigma_j)
-            z = (deadline - base) / timing.jitter_sigma_ns
-            p_arm = 0.5 * math.erfc(-z / math.sqrt(2.0))
-        else:
-            p_arm = float(base <= deadline)
-
-    unfired, fired = eng.count_tables(cfg.phi_grid, cfg.noise.dephasing_sigma)
-    clicks = _click_table(_COUNTS, cfg.noise)  # (9, 4)
-    table = clicks.T @ unfired @ clicks
-    if p_arm:
-        # only a lone D2 trigger (row 2) fires the cell
-        table[:, 2] += p_arm * (clicks[:, 2] @ (fired - unfired) @ clicks)
-    return table
+        p_arm = cfg.timing.arming_probability(eng.bench.delay_m)
+    unfired, fired = click_tables(eng, cfg.phi_grid, cfg.noise)
+    # only a lone D2 trigger (row 2) fires the cell
+    unfired[:, 2] += p_arm * (fired[:, 2] - unfired[:, 2])
+    return unfired
 
 
 def _draw(cdf: np.ndarray, u: float) -> int:
     return min(int(np.searchsorted(cdf, u * cdf[-1], side="right")), len(cdf) - 1)
+
+
+def _clicks(names: tuple[str, str], pattern: int, t_ns: float) -> ClickPattern:
+    """The click pattern with index click1 + 2 * click2 over ``names``."""
+    hits = {name: bool(pattern >> i & 1) for i, name in enumerate(names)}
+    return ClickPattern(hits, {name: t_ns for name, hit in hits.items() if hit})
 
 
 def run_trial(
@@ -397,15 +390,11 @@ def run_trial(
     if cfg.input_theta is not None:
         bench = bench.with_input_theta(cfg.input_theta)
     eng = engine if engine is not None else _TransferEngine(bench)
-    noise, timing = cfg.noise, cfg.timing
-    theta = rng.normal(0.0, noise.dephasing_sigma) if noise.dephasing_sigma else 0.0
-    unfired, fired_counts = eng.count_tables((phi,), theta=theta)[:, 0]
+    unfired, fired_table = click_tables(eng, (phi,), cfg.noise)[:, 0]
 
-    # Alice's Bell measurement: Born-rule photon counts, then detector imperfections
+    # Alice's Bell measurement
     alice = _draw(np.cumsum(unfired.sum(axis=1)), rng.random())
-    alice_counts = dict(zip(ALICE_DETECTORS, map(int, _COUNTS[alice])))
-    alice_clicks = thin_by_efficiency(alice_counts, noise.qe, rng,
-                                      noise.dark_count_prob, at_time_ns=0.0)
+    alice_clicks = _clicks(ALICE_DETECTORS, alice, 0.0)
     bell = classify(alice_clicks)
     trigger = alice_clicks.exactly_one()
 
@@ -417,7 +406,7 @@ def run_trial(
     armed = False
     fired = False
     if cfg.mode is RunMode.ACTIVE and trigger == "D2":
-        rr: RaceResult = race(0.0, timing, bench.delay_m, rng)
+        rr: RaceResult = race(0.0, cfg.timing, bench.delay_m, rng)
         for event in rr.log.events:
             if event.kind not in ("PhotonEmitted", "AliceClick"):
                 log.add(event.t_ns, event.kind, event.detail)
@@ -425,12 +414,9 @@ def run_trial(
         armed = rr.armed_in_time
         fired = effective_correction(trigger, armed)
 
-    # Bob's side: his photon counts given Alice's, after the conditional sigma_z
-    bob = _draw(np.cumsum((fired_counts if fired else unfired)[alice]), rng.random())
-    arrival = bench.delay_m * timing.delay_ns_per_m
-    bob_counts = dict(zip(BOB_DETECTORS, map(int, _COUNTS[bob])))
-    bob_clicks = thin_by_efficiency(bob_counts, noise.qe, rng,
-                                    noise.dark_count_prob, at_time_ns=arrival)
+    # Bob's side given Alice's pattern, after the conditional sigma_z
+    bob = _draw(np.cumsum((fired_table if fired else unfired)[alice]), rng.random())
+    bob_clicks = _clicks(BOB_DETECTORS, bob, bench.delay_m * cfg.timing.delay_ns_per_m)
 
     # the coincidence circuit also discards Alice clicks without a Bob click
     if not bell.idle and not any(bob_clicks.clicks.values()):

@@ -9,6 +9,7 @@ line at 3.0 ns/m, i.e. 24 ns of grace.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +39,20 @@ class TimingModel:
 
     def hv_ready_ns(self, click_time_ns: float, jitter_ns: float = 0.0) -> float:
         return click_time_ns + self.detector_latency_ns + self.risetime_ns + jitter_ns
+
+    def arming_probability(self, delay_m: float) -> float:
+        """Chance that ``race`` arms the cell for a photon emitted at the click.
+
+        The cell is armed iff latency + risetime + jitter <= delay_m *
+        ns_per_m: Phi(slack / sigma_j) with jitter, and without it a step
+        that arms at zero slack.
+        """
+        deadline = delay_m * self.delay_ns_per_m
+        base = self.detector_latency_ns + self.risetime_ns
+        if self.jitter_sigma_ns == 0:
+            return float(base <= deadline)
+        z = (deadline - base) / self.jitter_sigma_ns
+        return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
 @dataclass(frozen=True)

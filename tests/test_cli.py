@@ -37,11 +37,13 @@ class TestRun:
         assert (a / "fringe.csv").read_bytes() == (b / "fringe.csv").read_bytes()
 
     def test_workers_do_not_change_output(self, tmp_path):
+        # manifests written before --workers was removed carry a workers key
         a, b = tmp_path / "a", tmp_path / "b"
-        run_cli("run", "--trials", "300", "--phi-steps", "5", "--seed", "9",
-                "--workers", "1", "--out", str(a))
-        run_cli("run", "--trials", "300", "--phi-steps", "5", "--seed", "9",
-                "--workers", "4", "--out", str(b))
+        run_cli("run", "--trials", "300", "--phi-steps", "5", "--seed", "9", "--out", str(a))
+        manifest = a / "manifest.txt"
+        assert "workers" not in manifest.read_text()
+        manifest.write_text(manifest.read_text() + "workers=2\n")
+        assert run_cli("run", "--manifest", str(manifest), "--out", str(b)) == 0
         assert (a / "fringe.csv").read_bytes() == (b / "fringe.csv").read_bytes()
 
     def test_missing_bench_exits_3(self, tmp_path):
@@ -68,13 +70,6 @@ class TestRun:
         assert code == 2
         assert "phase steps" in capsys.readouterr().err
         assert not (tmp_path / "fringe.csv").exists()
-
-    @pytest.mark.parametrize("command", ["run", "reproduce-paper"])
-    def test_workers_below_one_exits_2(self, tmp_path, capsys, command):
-        code = run_cli(command, "--workers", "-3", "--trials", "10", "--phi-steps", "5",
-                       "--out", str(tmp_path))
-        assert code == 2
-        assert "workers" in capsys.readouterr().err
 
     def test_non_numeric_manifest_value_exits_3(self, tmp_path, capsys):
         run_cli("run", "--trials", "50", "--phi-steps", "5", "--out", str(tmp_path / "a"))

@@ -10,7 +10,6 @@ from fockbench.elements import (
     apply_eop,
     beam_splitter,
     delay_line,
-    half_wave_plate,
     polarizing_bs,
     quarter_wave_plate,
 )
@@ -203,10 +202,6 @@ class TestQuarterWavePlate:
         for _ in range(2):
             st = apply_element(st, quarter_wave_plate(0, math.pi / 4))
         assert st.amplitude((1, 0)) == pytest.approx(1.0, abs=1e-12)
-        out = apply_element(
-            create_photon(make_vacuum(m), ModeId(0, V)), half_wave_plate(0, math.pi / 4)
-        )
-        assert out.amplitude((1, 0)) == pytest.approx(1.0, abs=1e-12)
 
     def test_qwp_plus_pbs_is_variable_splitter(self):
         # sweeping the plate angle reproduces the cos^2/sin^2 splitting law

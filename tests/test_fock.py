@@ -7,7 +7,6 @@ from fockbench.errors import (
     EmptyModes,
     ImpossibleOutcome,
     NonUnitary,
-    NotNormalized,
     TruncationOverflow,
     UnknownMode,
 )
@@ -200,12 +199,3 @@ class TestPruning:
         tiny[(0, 0)] = 1.0
         rebuilt = st._replace(tiny)
         assert set(rebuilt.amplitudes) == {(0, 0)}
-
-
-class TestNotNormalized:
-    def test_sampling_guard(self, rng):
-        from fockbench.noise import sample_occupations
-
-        st = singlet()._replace({(1, 0): 0.5 + 0j})
-        with pytest.raises(NotNormalized):
-            sample_occupations(st, rng)

@@ -1,28 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from fockbench.errors import BadCalibration, BadParam
-from fockbench.fock import ModeId, Polarization, create_photon, make_vacuum, apply_two_mode_unitary
-from fockbench.noise import (
-    NoiseModel,
-    apply_channel_dephasing,
-    calibrate_sigma,
-    click_probability,
-    sample_mode_pattern,
-    sample_occupations,
-    thin_by_efficiency,
-)
-
-V = Polarization.V
-M = [ModeId(0, V), ModeId(1, V)]
-BS50 = [[math.cos(math.pi / 4), -math.sin(math.pi / 4)],
-        [math.sin(math.pi / 4), math.cos(math.pi / 4)]]
-
-
-def singlet():
-    return apply_two_mode_unitary(create_photon(make_vacuum(M), M[0]), M[0], M[1], BS50)
+from fockbench.noise import NoiseModel, calibrate_sigma, click_table
 
 
 class TestNoiseModel:
@@ -38,103 +21,43 @@ class TestNoiseModel:
             NoiseModel(**kw)
 
 
-class TestSampleOccupations:
-    def test_deterministic_single_entry(self, rng):
-        st = create_photon(make_vacuum(M), M[0])
-        for _ in range(20):
-            assert sample_occupations(st, rng) == (1, 0)
-
-    def test_singlet_frequencies_converge(self, rng):
-        st = singlet()
-        n = 1_000_000
-        # same Born-rule draw as sample_occupations, vectorized over trials
-        entries = sorted(st.amplitudes.items())
-        probs = np.array([abs(a) ** 2 for _, a in entries])
-        idx = np.searchsorted(np.cumsum(probs), rng.random(n) * probs.sum(), side="right")
-        freq = np.bincount(idx, minlength=2) / n
-        sigma3 = 3 * math.sqrt(0.5 * 0.5 / n)
-        assert abs(freq[0] - 0.5) < sigma3
-        # spot-check the scalar op follows the same law
-        counts = sum(sample_occupations(st, rng) == entries[0][0] for _ in range(2000))
-        assert abs(counts / 2000 - 0.5) < 3 * math.sqrt(0.25 / 2000)
-
-    def test_biased_state_frequency(self, rng):
-        # |beta|^2 = 0.25 on the one-photon branch
-        st = make_vacuum([M[0]])._replace({(0,): math.sqrt(0.75), (1,): 0.5})
-        n = 40_000
-        hits = sum(sample_occupations(st, rng)[0] for _ in range(n))
-        assert abs(hits / n - 0.25) < 3 * math.sqrt(0.25 * 0.75 / n)
-
-    def test_marginal_sampling(self, rng):
-        st = singlet()
-        pat = sample_mode_pattern(st, [M[0]], rng)
-        assert pat in ((0,), (1,))
-
-
 class TestThinByEfficiency:
-    def test_unit_qe_reports_presence(self, rng):
-        out = thin_by_efficiency({"D1": 1, "D2": 0}, 1.0, rng)
-        assert out.clicks == {"D1": True, "D2": False}
-        assert "D1" in out.timestamps_ns and "D2" not in out.timestamps_ns
+    """Efficiency thinning and dark counts, as the exact per-detector click table."""
 
-    def test_qe_045_click_rate(self, rng):
-        n = 1_000_000
-        hits = 0
-        for _ in range(n):
-            if rng.random() < click_probability(1, 0.45):
-                hits += 1
-        assert abs(hits / n - 0.45) < 3 * math.sqrt(0.45 * 0.55 / n)
+    def test_unit_qe_reports_presence(self):
+        table = click_table(NoiseModel(qe=1.0))
+        for n1, n2 in itertools.product(range(3), repeat=2):
+            assert table[n1 + 3 * n2, (n1 > 0) + 2 * (n2 > 0)] == 1.0
 
-    def test_qe_045_through_op(self, rng):
-        n = 100_000
-        hits = sum(
-            thin_by_efficiency({"D": 1}, 0.45, rng).clicks["D"] for _ in range(n)
-        )
-        assert abs(hits / n - 0.45) < 3 * math.sqrt(0.45 * 0.55 / n)
+    def test_qe_045_click_rate(self):
+        assert click_table(NoiseModel(qe=0.45))[1, 1] == pytest.approx(0.45, abs=1e-15)
 
-    def test_zero_qe_dark_counts_only(self, rng):
-        n = 20_000
-        hits = sum(
-            thin_by_efficiency({"D": 1}, 0.0, rng, dark_count_prob=0.01).clicks["D"]
-            for _ in range(n)
-        )
-        assert abs(hits / n - 0.01) < 3 * math.sqrt(0.01 * 0.99 / n) + 1e-9
+    def test_zero_qe_dark_counts_only(self):
+        table = click_table(NoiseModel(qe=0.0, dark_count_prob=0.01))
+        for n in range(3):
+            assert table[n, 1] + table[n, 3] == pytest.approx(0.01, abs=1e-15)
 
     def test_two_photons_click_more(self):
-        assert click_probability(2, 0.45) == pytest.approx(1 - 0.55**2)
+        table = click_table(NoiseModel(qe=0.45))
+        assert table[2, 1] == pytest.approx(1 - 0.55**2, abs=1e-15)
+        assert table[2, 1] > table[1, 1]
 
-
-class TestDephasing:
-    def test_sigma_zero_identity(self, rng):
-        st = singlet()
-        assert apply_channel_dephasing(st, M[1], 0.0, rng).amplitudes == st.amplitudes
-
-    def test_norm_preserved(self, rng):
-        st = singlet()
-        for _ in range(100):
-            out = apply_channel_dephasing(st, M[1], 1.3, rng)
-            assert abs(out.norm_sq() - 1.0) < 1e-12
-
-    @pytest.mark.parametrize("sigma", [0.2, 0.5, 1.0])
-    def test_visibility_decay_law(self, rng, sigma):
-        # ensemble coherence <a1 conj(a0)> shrinks by exp(-sigma^2/2)
-        st = singlet()
-        n = 100_000
-        acc = 0j
-        for _ in range(n):
-            out = apply_channel_dephasing(st, M[1], sigma, rng)
-            acc += out.amplitude((0, 1)) * out.amplitude((1, 0)).conjugate()
-        ratio = abs(acc / n) / abs(st.amplitude((0, 1)) * st.amplitude((1, 0)))
-        assert abs(ratio - math.exp(-(sigma**2) / 2)) < 0.01
-
-    def test_large_sigma_kills_coherence(self, rng):
-        st = singlet()
-        n = 20_000
-        acc = 0j
-        for _ in range(n):
-            out = apply_channel_dephasing(st, M[1], 30.0, rng)
-            acc += out.amplitude((0, 1)) * out.amplitude((1, 0)).conjugate()
-        assert abs(acc / n) / 0.5 < 0.05
+    @pytest.mark.parametrize("qe, dark", [(0.45, 2e-3), (1.0, 0.0), (0.0, 0.01), (0.3, 0.2)])
+    def test_matches_explicit_enumeration(self, qe, dark):
+        # every photon registers with probability qe and every detector has its
+        # own dark count; a detector clicks on either
+        table = click_table(NoiseModel(qe=qe, dark_count_prob=dark))
+        for n1, n2 in itertools.product(range(3), repeat=2):
+            want = np.zeros(4)
+            at = [0] * n1 + [1] * n2  # the detector each photon reaches
+            for seen in itertools.product((False, True), repeat=n1 + n2):
+                for darks in itertools.product((False, True), repeat=2):
+                    p = math.prod(qe if s else 1 - qe for s in seen)
+                    p *= math.prod(dark if d else 1 - dark for d in darks)
+                    hit = [darks[d] or any(s for s, a in zip(seen, at) if a == d)
+                           for d in (0, 1)]
+                    want[hit[0] + 2 * hit[1]] += p
+            assert np.abs(table[n1 + 3 * n2] - want).max() <= 1e-15
 
 
 class TestCalibrateSigma:
@@ -155,12 +78,3 @@ class TestCalibrateSigma:
     def test_zero_target_rejected(self):
         with pytest.raises(BadCalibration):
             calibrate_sigma(0.9, 0.0)
-
-
-class TestSeedDeterminism:
-    def test_same_seed_same_stream(self):
-        a = np.random.default_rng(99)
-        b = np.random.default_rng(99)
-        st = singlet()
-        for _ in range(200):
-            assert sample_occupations(st, a) == sample_occupations(st, b)

@@ -15,6 +15,7 @@ from fockbench.protocol import (
     _TransferEngine,
     analytic_coincidences,
     classify,
+    click_tables,
     default_phi_grid,
     outcome_distribution,
     phase_from_position,
@@ -144,6 +145,24 @@ class TestRunTrial:
                 break
         else:
             pytest.fail("no Psi4 trial in 200 shots")
+
+    def test_clicks_are_stamped_at_alice_and_at_bob(self, bench, rng):
+        cfg = RunConfig(mode=RunMode.ACTIVE, trials_per_phi=1, noise=FULL_NOISE,
+                        timing=JITTERED)
+        for _ in range(300):
+            rec = run_trial(bench, 1.0, cfg, rng)
+            alice, bob = rec.alice_clicks, rec.bob_clicks
+            assert set(alice.clicks) == {"D1", "D2"} and set(bob.clicks) == {"D1*", "D2*"}
+            assert alice.timestamps_ns == dict.fromkeys(alice.clicked(), 0.0)
+            # 8 m of delay line at 3 ns/m
+            assert bob.timestamps_ns == dict.fromkeys(bob.clicked(), 24.0)
+
+    def test_same_seed_same_records(self, bench):
+        cfg = RunConfig(mode=RunMode.ACTIVE, trials_per_phi=1, noise=FULL_NOISE,
+                        timing=JITTERED)
+        a, b = np.random.default_rng(99), np.random.default_rng(99)
+        for phi in np.linspace(0.0, 6.0, 100):
+            assert run_trial(bench, phi, cfg, a) == run_trial(bench, phi, cfg, b)
 
     def test_kept_trials_have_one_click_each_side_at_unit_qe(self, bench, rng):
         cfg = RunConfig(mode=RunMode.ACTIVE, trials_per_phi=1)
@@ -360,7 +379,8 @@ class TestOutcomeDistribution:
 
     @pytest.mark.parametrize("phi", [0.6, 2.4])
     def test_chi_square_against_run_trial_shots(self, bench, phi):
-        # run_trial samples theta, the thinning and the jittered race itself
+        # run_trial draws the jittered race itself and Bob's pattern given
+        # Alice's; the closed form mixes the fired and disarmed tables instead
         cfg = RunConfig(mode=RunMode.ACTIVE, trials_per_phi=1, noise=FULL_NOISE,
                         timing=JITTERED, phi_grid=(phi,))
         eng = _TransferEngine(bench)
@@ -409,6 +429,18 @@ class TestOutcomeDistribution:
         assert np.abs(quad - exact).max() < 1e-12
         assert np.abs(exact - eng.count_tables(phis)[fired]).max() > 1e-3
 
+    @pytest.mark.parametrize("which", ["builtin", "bunching"])
+    def test_firing_leaves_alices_marginal_unchanged(self, bench, which):
+        # run_trial draws Alice's pattern before the race decides which table
+        # Bob's pattern comes from
+        from fockbench.bench import parse
+
+        if which == "bunching":
+            bench = parse(BUNCHING_BENCH)
+        unfired, fired = click_tables(_TransferEngine(bench), default_phi_grid(9), FULL_NOISE)
+        assert np.abs(unfired.sum(axis=-1) - fired.sum(axis=-1)).max() <= 1e-15
+        assert np.abs(unfired - fired).max() > 0.01
+
     def test_batched_grid_equals_one_phase_at_a_time(self, bench):
         eng = _TransferEngine(bench)
         cfg = RunConfig(mode=RunMode.ACTIVE, noise=FULL_NOISE, timing=JITTERED)
@@ -438,6 +470,10 @@ class TestConfig:
     def test_trials_must_be_positive(self):
         with pytest.raises(BadParam):
             RunConfig(trials_per_phi=0)
+
+    def test_empty_grid_is_rejected(self):
+        with pytest.raises(BadParam, match="empty"):
+            RunConfig(phi_grid=())
 
     def test_default_grid_25_points(self):
         cfg = RunConfig()

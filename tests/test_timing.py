@@ -96,6 +96,24 @@ class TestRace:
         assert any("EopApplied" in line for line in lines)
 
 
+class TestArmingProbability:
+    @pytest.mark.parametrize("slack", [-1e-9, 0.0, 1e-9])
+    def test_step_matches_race_without_jitter(self, slack):
+        # 8 m at 3 ns/m is 24 ns of flight against latency + risetime = 24 - slack
+        t = TimingModel(risetime_ns=22.5 - slack, detector_latency_ns=1.5)
+        armed = race(0.0, t, 8.0).armed_in_time
+        assert armed == (slack >= 0)
+        assert t.arming_probability(8.0) == float(armed)
+
+    def test_matches_jittered_race_draws(self, rng):
+        t = TimingModel(risetime_ns=23.5, jitter_sigma_ns=1.5)
+        p = t.arming_probability(8.0)
+        assert 0.5 < p < 0.7
+        n = 20_000
+        hits = sum(race(0.0, t, 8.0, rng).armed_in_time for _ in range(n))
+        assert abs(hits - n * p) <= 5 * math.sqrt(n * p * (1 - p))
+
+
 class TestEffectiveCorrection:
     @pytest.mark.parametrize("trigger,armed,want", [
         ("D2", True, True),
