@@ -88,6 +88,26 @@ class TestParseErrors:
             parse(MINIMAL.replace("theta=0.7853981633974483", "theta=abc"))
         assert "syntax" in codes(err.value.diagnostics)
 
+    @pytest.mark.parametrize("statement, code, col", [
+        ("bs a b theta=9.9", "bad-param", 1),
+        ("  delay a length_m=0", "bad-param", 3),
+        ("delay b length_m=-2", "bad-param", 1),
+        ("bs a a theta=0.5", "bad-wiring", 1),
+        (" pbs a b a c", "bad-wiring", 2),
+        ("qwp a theta=0.5", "syntax", 7),
+        ("bs a b  angle=0.5", "syntax", 9),
+        ("delay a length=8", "syntax", 9),
+        ("phase a value=x", "syntax", 9),
+        ("qwp b angle=1e", "syntax", 7),
+        ("eop a b", "syntax", 1),
+    ])
+    def test_element_statement_errors_pin_code_line_col(self, statement, code, col):
+        base = "path a\npath b\npath c\npath d\nsource photon a V\nphase a knob\n"
+        bench, diags = parse_with_diagnostics(base + statement + "\ndetector D a V\n")
+        assert bench is None
+        errors = [d for d in diags if d.severity == "error"]
+        assert [(d.code, d.line, d.col) for d in errors] == [(code, 7, col)]
+
     def test_bad_theta_range(self):
         with pytest.raises(BenchError) as err:
             parse(MINIMAL.replace("theta=0.7853981633974483", "theta=9.9"))
