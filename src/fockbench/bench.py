@@ -25,7 +25,7 @@ from importlib import resources
 
 from . import elements as el
 from .elements import Element, ElementKind
-from .errors import FockbenchError
+from .errors import BadParam, FockbenchError
 from .fock import ModeId, Polarization
 
 H, V = Polarization.H, Polarization.V
@@ -110,30 +110,27 @@ class Bench:
         for m in self.sources:
             out.append(f"source photon {self.path_names[m.path]} {m.pol.name}")
         for e in self.pipeline:
-            names = [self.path_names[p] for p in e.paths]
-            if e.kind is ElementKind.BEAM_SPLITTER:
-                out.append(f"bs {names[0]} {names[1]} theta={e.params[0]!r}")
-            elif e.kind is ElementKind.PHASE_SHIFTER:
-                out.append(
-                    f"phase {names[0]} knob"
-                    if e.is_knob
-                    else f"phase {names[0]} value={e.params[0]!r}"
-                )
-            elif e.kind is ElementKind.POLARIZING_BS:
-                out.append(f"pbs {' '.join(names)}")
-            elif e.kind is ElementKind.QUARTER_WAVE_PLATE:
-                out.append(f"qwp {names[0]} angle={e.params[0]!r}")
-            elif e.kind is ElementKind.POCKELS_CELL:
-                out.append(f"eop {names[0]}")
-            elif e.kind is ElementKind.DELAY_LINE:
-                out.append(f"delay {names[0]} length_m={e.params[0]!r}")
+            args = [self.path_names[p] for p in e.paths]
+            if e.is_knob:
+                args.append("knob")
             else:
-                raise BenchError(
-                    [Diagnostic("unknown-element", f"cannot serialize {e.kind}")]
-                )
+                args += [f"{key}={v!r}" for key, v in zip(_STATEMENTS[e.kind][1], e.params)]
+            out.append(" ".join([e.kind.value, *args]))
         for name, mode in self.detectors.items():
             out.append(f"detector {name} {self.path_names[mode.path]} {mode.pol.name}")
         return "\n".join(out) + "\n"
+
+
+# element statement: number of paths, its key=<number> arguments, constructor
+_STATEMENTS = {
+    ElementKind.BEAM_SPLITTER: (2, ("theta",), el.beam_splitter),
+    ElementKind.PHASE_SHIFTER: (1, ("value",), el.phase_shifter),
+    ElementKind.POLARIZING_BS: (4, (), el.polarizing_bs),
+    ElementKind.QUARTER_WAVE_PLATE: (1, ("angle",), el.quarter_wave_plate),
+    ElementKind.POCKELS_CELL: (1, (), el.pockels_cell),
+    ElementKind.DELAY_LINE: (1, ("length_m",), el.delay_line),
+}
+_HEADS = {kind.value: kind for kind in _STATEMENTS}
 
 
 def _kv(token: str, key: str, line: int, col: int, diags: list[Diagnostic]) -> float | None:
@@ -145,17 +142,18 @@ def _kv(token: str, key: str, line: int, col: int, diags: list[Diagnostic]) -> f
         diags.append(Diagnostic("syntax", f"expected key {key!r}, got {k!r}", line, col))
         return None
     try:
-        return float(v)
+        x = float(v)
     except ValueError:
-        diags.append(Diagnostic("syntax", f"bad number {v!r} for {key}", line, col))
-        return None
+        x = math.nan
+    if math.isfinite(x):
+        return x
+    diags.append(Diagnostic("syntax", f"bad number {v!r} for {key}", line, col))
+    return None
 
 
 def _pol(token: str, line: int, col: int, diags: list[Diagnostic]) -> Polarization | None:
-    if token == "H":
-        return H
-    if token == "V":
-        return V
+    if token in ("H", "V"):
+        return Polarization[token]
     diags.append(Diagnostic("syntax", f"polarization must be H or V, got {token!r}", line, col))
     return None
 
@@ -225,59 +223,20 @@ def parse_with_diagnostics(source: str) -> tuple[Bench | None, list[Diagnostic]]
                 pol = _pol(toks[3], lineno, cols[3], diags)
                 if p is not None and pol is not None:
                     sources.append(ModeId(p, pol))
-            elif head == "bs":
-                if not want(4):
+            elif head in _HEADS:
+                kind = _HEADS[head]
+                n, keys, make = _STATEMENTS[kind]
+                if not want(1 + n + len(keys)):
                     continue
-                pa = path_of(toks[1], lineno, cols[1])
-                pb = path_of(toks[2], lineno, cols[2])
-                theta = _kv(toks[3], "theta", lineno, cols[3], diags)
-                if None not in (pa, pb, theta):
-                    pipeline.append(el.beam_splitter(pa, pb, theta))
-                    source_lines[len(pipeline) - 1] = lineno
-            elif head == "phase":
-                if not want(3):
+                args = [path_of(t, lineno, c) for t, c in zip(toks[1 : n + 1], cols[1 : n + 1])]
+                knob = kind is ElementKind.PHASE_SHIFTER and toks[2] == "knob"
+                if not knob:
+                    args += [_kv(t, key, lineno, c, diags)
+                             for key, t, c in zip(keys, toks[n + 1 :], cols[n + 1 :])]
+                if None in args:
                     continue
-                p = path_of(toks[1], lineno, cols[1])
-                if p is None:
-                    continue
-                if toks[2] == "knob":
-                    pipeline.append(el.phase_shifter(p, 0.0, knob=True))
-                else:
-                    v = _kv(toks[2], "value", lineno, cols[2], diags)
-                    if v is None:
-                        continue
-                    pipeline.append(el.phase_shifter(p, v))
+                pipeline.append(el.phase_shifter(args[0], knob=True) if knob else make(*args))
                 source_lines[len(pipeline) - 1] = lineno
-            elif head == "pbs":
-                if not want(5):
-                    continue
-                ps = [path_of(t, lineno, c) for t, c in zip(toks[1:5], cols[1:5])]
-                if None not in ps:
-                    pipeline.append(el.polarizing_bs(*ps))
-                    source_lines[len(pipeline) - 1] = lineno
-            elif head == "qwp":
-                if not want(3):
-                    continue
-                p = path_of(toks[1], lineno, cols[1])
-                angle = _kv(toks[2], "angle", lineno, cols[2], diags)
-                if None not in (p, angle):
-                    pipeline.append(el.quarter_wave_plate(p, angle))
-                    source_lines[len(pipeline) - 1] = lineno
-            elif head == "eop":
-                if not want(2):
-                    continue
-                p = path_of(toks[1], lineno, cols[1])
-                if p is not None:
-                    pipeline.append(el.pockels_cell(p))
-                    source_lines[len(pipeline) - 1] = lineno
-            elif head == "delay":
-                if not want(3):
-                    continue
-                p = path_of(toks[1], lineno, cols[1])
-                length = _kv(toks[2], "length_m", lineno, cols[2], diags)
-                if None not in (p, length):
-                    pipeline.append(el.delay_line(p, length))
-                    source_lines[len(pipeline) - 1] = lineno
             elif head == "detector":
                 if not want(4):
                     continue
@@ -294,7 +253,7 @@ def parse_with_diagnostics(source: str) -> tuple[Bench | None, list[Diagnostic]]
                 diags.append(Diagnostic("unknown-element", f"unknown statement {head!r}",
                                         lineno, cols[0]))
         except FockbenchError as exc:
-            code = "bad-param" if "theta" in str(exc) or "length" in str(exc) else "bad-wiring"
+            code = "bad-param" if isinstance(exc, BadParam) else "bad-wiring"
             diags.append(Diagnostic(code, str(exc), lineno, cols[0]))
 
     if not sources:

@@ -32,6 +32,7 @@ from .errors import (
     FockbenchError,
     GridMismatch,
     MalformedInput,
+    ProtocolError,
 )
 from .noise import NoiseModel, calibrate_sigma
 from .protocol import (
@@ -64,35 +65,34 @@ def _with_delay(bench: Bench, delay_m: float) -> Bench:
     ))
 
 
+# dest -> (type, default, help): the run flags, which manifest.txt records
+_RUN_FLAGS = {
+    "mode": (str, "passive", None),
+    "trials": (int, 1000, None),
+    "phi_steps": (int, 25, None),
+    "seed": (int, 0, None),
+    "qe": (float, 1.0, None),
+    "dephasing_sigma": (float, 0.0, None),
+    "dark_prob": (float, 0.0, None),
+    "risetime_ns": (float, 22.0, None),
+    "jitter_ns": (float, 0.0, None),
+    "ns_per_m": (float, 3.0, None),
+    "delay_m": (float, None, "override the bench delay-line length"),
+    "input_theta": (float, None, "qubit-preparation splitter angle (radians)"),
+    "bench": (str, None, "bench file (default: builtin)"),
+}
+_MODES = ("passive", "active", "active-inhibited")
+
+
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mode", choices=["passive", "active", "active-inhibited"],
-                   default="passive")
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--phi-steps", type=int, default=25)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--qe", type=float, default=1.0)
-    p.add_argument("--dephasing-sigma", type=float, default=0.0)
-    p.add_argument("--dark-prob", type=float, default=0.0)
-    p.add_argument("--risetime-ns", type=float, default=22.0)
-    p.add_argument("--jitter-ns", type=float, default=0.0)
-    p.add_argument("--ns-per-m", type=float, default=3.0)
-    p.add_argument("--delay-m", type=float, default=None,
-                   help="override the bench delay-line length")
-    p.add_argument("--input-theta", type=float, default=None,
-                   help="qubit-preparation splitter angle (radians)")
-    p.add_argument("--bench", default=None, help="bench file (default: builtin)")
-
-
-_MANIFEST_KEYS = (
-    "bench", "dark_prob", "delay_m", "dephasing_sigma", "input_theta",
-    "jitter_ns", "mode", "ns_per_m", "phi_steps", "qe", "risetime_ns",
-    "seed", "trials",
-)
+    for dest, (kind, default, help_text) in _RUN_FLAGS.items():
+        p.add_argument("--" + dest.replace("_", "-"), type=kind, default=default,
+                       help=help_text, choices=_MODES if dest == "mode" else None)
 
 
 def _manifest_text(args: argparse.Namespace) -> str:
     lines = [f"fockbench_version={__version__}"]
-    for key in _MANIFEST_KEYS:
+    for key in sorted(_RUN_FLAGS):
         val = getattr(args, key)
         if key == "bench" and val not in (None, "builtin"):
             val = str(Path(val).resolve())  # reruns must work from any cwd
@@ -101,29 +101,27 @@ def _manifest_text(args: argparse.Namespace) -> str:
 
 
 def _load_manifest(path: str, args: argparse.Namespace) -> None:
+    """Set the run flags a manifest records; other keys are skipped.
+
+    An empty value stands for None, so only a flag that defaults to None
+    may have one.
+    """
     text = Path(path).read_text(encoding="utf-8")
-    casts = {
-        "trials": int, "phi_steps": int, "seed": int,
-        "qe": float, "dephasing_sigma": float, "dark_prob": float,
-        "risetime_ns": float, "jitter_ns": float, "ns_per_m": float,
-        "delay_m": float, "input_theta": float,
-    }
     for line in text.splitlines():
-        if not line.strip() or "=" not in line:
+        key, sep, val = line.partition("=")
+        if not sep or key not in _RUN_FLAGS:
             continue
-        key, _, val = line.partition("=")
-        if key == "fockbench_version" or key not in _MANIFEST_KEYS:
-            continue
+        kind, default, _ = _RUN_FLAGS[key]
         if val == "":
+            if default is not None:
+                raise MalformedInput(f"manifest {path}: {key} needs a value")
             setattr(args, key, None)
-        elif key in casts:
-            try:
-                setattr(args, key, casts[key](val))
-            except ValueError:
-                raise MalformedInput(f"manifest {path}: {key}={val!r} is not "
-                                     f"a valid {casts[key].__name__}") from None
-        else:
-            setattr(args, key, val)
+            continue
+        try:
+            setattr(args, key, kind(val))
+        except ValueError:
+            raise MalformedInput(f"manifest {path}: {key}={val!r} is not "
+                                 f"a valid {kind.__name__}") from None
 
 
 def _build_run(args: argparse.Namespace) -> tuple[Bench, RunConfig]:
@@ -359,7 +357,7 @@ def main(argv: list[str] | None = None) -> int:
     except (BadParam, BadCalibration) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, GridMismatch, FitUnderdetermined, MalformedInput) as exc:
+    except (OSError, GridMismatch, FitUnderdetermined, MalformedInput, ProtocolError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except FockbenchError as exc:

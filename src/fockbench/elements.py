@@ -129,6 +129,8 @@ def pockels_cell(path: int) -> Element:
 
 def delay_line(path: int, length_m: float) -> Element:
     """No amplitude change; contributes length * ns_per_m to the timing race."""
+    if not math.isfinite(length_m):
+        raise BadParam(f"delay length {length_m} m must be finite")
     if length_m <= 0:
         raise BadParam(f"delay length {length_m} m must be positive")
     return Element(ElementKind.DELAY_LINE, (path,), (length_m,))

@@ -33,8 +33,8 @@ class NoiseModel:
     def __post_init__(self):
         if not 0.0 <= self.qe <= 1.0:
             raise BadParam(f"qe {self.qe} outside [0, 1]")
-        if self.dephasing_sigma < 0.0:
-            raise BadParam(f"dephasing sigma {self.dephasing_sigma} negative")
+        if not 0.0 <= self.dephasing_sigma < math.inf:
+            raise BadParam(f"dephasing sigma {self.dephasing_sigma} must be finite and >= 0")
         if not 0.0 <= self.dark_count_prob < 1.0:
             raise BadParam(f"dark count prob {self.dark_count_prob} outside [0, 1)")
 

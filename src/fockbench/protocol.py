@@ -248,21 +248,19 @@ def _require_protocol_bench(bench: Bench) -> int:
     if missing:
         raise ProtocolError(f"protocol needs detectors D1, D2, D1*, D2*; missing {missing}")
     eop = [i for i, e in enumerate(bench.pipeline) if e.kind is ElementKind.POCKELS_CELL]
-    if not eop:
-        raise ProtocolError("protocol needs a Pockels cell in the pipeline")
-    first = eop[0]
-    if not 0 <= bench.knob_index < first:
+    if len(eop) != 1:
+        raise ProtocolError(f"protocol needs exactly one Pockels cell, got {len(eop)}")
+    cell = eop[0]
+    if not 0 <= bench.knob_index < cell:
         raise ProtocolError("protocol needs exactly one phase knob, before the Pockels cell")
     alice_modes = {bench.detectors[d] for d in ALICE_DETECTORS}
-    for e in bench.pipeline[first:]:
-        if e.kind is ElementKind.POCKELS_CELL:
-            continue
+    for e in bench.pipeline[cell + 1 :]:
         for act in e.actions:
             if alice_modes & set(act.modes):
                 raise ProtocolError(
                     "an element after the Pockels cell touches Alice's detectors"
                 )
-    return first
+    return cell
 
 
 class _TransferEngine:

@@ -34,8 +34,8 @@ class TimingModel:
     def __post_init__(self):
         for name in ("risetime_ns", "delay_ns_per_m", "detector_latency_ns",
                      "jitter_sigma_ns"):
-            if getattr(self, name) < 0:
-                raise BadParam(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise BadParam(f"{name} must be finite and >= 0")
 
     def hv_ready_ns(self, click_time_ns: float, jitter_ns: float = 0.0) -> float:
         return click_time_ns + self.detector_latency_ns + self.risetime_ns + jitter_ns

@@ -58,7 +58,10 @@ class TestRun:
         assert code == 3
 
     @pytest.mark.parametrize("flags", [("--trials", "0"), ("--qe", "1.5"),
-                                       ("--jitter-ns", "-1")])
+                                       ("--jitter-ns", "-1"), ("--delay-m", "nan"),
+                                       ("--delay-m", "inf"), ("--risetime-ns", "nan"),
+                                       ("--ns-per-m", "inf"), ("--dephasing-sigma", "nan"),
+                                       ("--jitter-ns", "nan")])
     def test_out_of_range_parameter_exits_2(self, tmp_path, capsys, flags):
         code = run_cli("run", *flags, "--phi-steps", "5", "--out", str(tmp_path))
         assert code == 2
@@ -80,6 +83,54 @@ class TestRun:
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "seed='abc'" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("key", ["seed", "mode", "trials", "phi_steps", "qe"])
+    def test_empty_manifest_value_exits_3(self, tmp_path, capsys, key):
+        # only flags that default to None (bench, delay_m, input_theta) may be empty
+        run_cli("run", "--trials", "50", "--phi-steps", "5", "--out", str(tmp_path / "a"))
+        manifest = tmp_path / "a" / "manifest.txt"
+        text = manifest.read_text()
+        manifest.write_text("".join(f"{key}=\n" if line.startswith(f"{key}=") else line
+                                    for line in text.splitlines(keepends=True)))
+        capsys.readouterr()
+        code = run_cli("run", "--manifest", str(manifest), "--out", str(tmp_path / "b"))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err and err.count("\n") == 1
+        assert not (tmp_path / "b" / "fringe.csv").exists()
+
+    @pytest.mark.parametrize("old, new", [
+        ("qwp kanc angle=0.7853981633974483", "qwp kanc angle=inf"),
+        ("qwp bob angle=1.5707963267948966", "qwp bob angle=nan"),
+        ("phase ks knob", "phase ks knob\nphase aux value=nan"),
+        ("delay bob length_m=8.0", "delay bob length_m=nan"),
+        ("delay bob length_m=8.0", "delay bob length_m=inf"),
+    ])
+    def test_non_finite_bench_number_exits_3(self, tmp_path, capsys, old, new):
+        bad = tmp_path / "bad.bench"
+        bad.write_text(figure1_text().replace(old, new, 1))
+        assert run_cli("validate-bench", str(bad)) == 3
+        assert "syntax: bad number" in capsys.readouterr().out
+        assert run_cli("run", "--bench", str(bad), "--trials", "10", "--phi-steps", "4",
+                       "--out", str(tmp_path / "out")) == 3
+        assert "syntax: bad number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new", [
+        ("eop bob\n", ""),
+        ("source photon ks V", "source photon ka V"),
+        ("eop bob\n", "eop bob\neop bob\n"),
+    ])
+    def test_bench_unfit_for_the_protocol_exits_3(self, tmp_path, capsys, old, new):
+        # each of these benches is well formed, so only the run rejects it
+        bad = tmp_path / "bad.bench"
+        bad.write_text(figure1_text().replace(old, new, 1))
+        assert run_cli("validate-bench", str(bad)) == 0
+        capsys.readouterr()
+        code = run_cli("run", "--mode", "active", "--bench", str(bad), "--trials", "10",
+                       "--phi-steps", "4", "--out", str(tmp_path / "out"))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: protocol needs") and err.count("\n") == 1
 
     def test_bogus_mode_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as err:

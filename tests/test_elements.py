@@ -232,6 +232,11 @@ class TestDelayLine:
         with pytest.raises(BadParam):
             delay_line(0, -1.0)
 
+    @pytest.mark.parametrize("length", [math.nan, math.inf])
+    def test_non_finite_length(self, length):
+        with pytest.raises(BadParam):
+            delay_line(0, length)
+
     def test_no_amplitude_change(self):
         m = modes_for(1)
         st = create_photon(make_vacuum(m), ModeId(0, V))

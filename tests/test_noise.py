@@ -15,6 +15,7 @@ class TestNoiseModel:
 
     @pytest.mark.parametrize("kw", [
         {"qe": 1.5}, {"qe": -0.1}, {"dephasing_sigma": -1.0}, {"dark_count_prob": 1.0},
+        {"dephasing_sigma": math.nan}, {"dephasing_sigma": math.inf},
     ])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(BadParam):

@@ -27,6 +27,13 @@ class TestTimingModel:
         with pytest.raises(BadParam):
             TimingModel(risetime_ns=-1.0)
 
+    @pytest.mark.parametrize("kw", [
+        {"risetime_ns": math.nan}, {"delay_ns_per_m": math.inf}, {"jitter_sigma_ns": math.nan},
+    ])
+    def test_non_finite_rejected(self, kw):
+        with pytest.raises(BadParam):
+            TimingModel(**kw)
+
 
 class TestRace:
     def test_stock_bench_makes_it(self):
