@@ -40,6 +40,7 @@ from .protocol import (
     FringeData,
     RunConfig,
     RunMode,
+    _require_protocol_bench,
     default_phi_grid,
     run_sweep,
     run_trial,
@@ -145,8 +146,14 @@ def _build_run(args: argparse.Namespace) -> tuple[Bench, RunConfig]:
 def cmd_run(args: argparse.Namespace) -> int:
     if args.manifest:
         _load_manifest(args.manifest, args)
-    bench, cfg = _build_run(args)
-    data = run_sweep(bench, cfg, seed=args.seed)
+    try:
+        bench, cfg = _build_run(args)
+        data = run_sweep(bench, cfg, seed=args.seed)
+    except BadParam as exc:
+        if not args.manifest:
+            raise
+        # a manifest is input data: its out-of-range values are bad input
+        raise MalformedInput(f"manifest {args.manifest}: {exc}") from None
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -188,6 +195,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(f"{key}.sigma_visibility={fit.sigma_visibility:.6f}")
         print(f"{key}.phi0={fit.phi0:.6f}")
         print(f"{key}.sigma_phi0={fit.sigma_phi0:.6f}")
+        print(f"{key}.chi2_dof={fit.chi2 / fit.dof:.6f}")
         print(f"{key}.fidelity={f:.6f}")
         print(f"{key}.sigma_fidelity={sf:.6f}")
         print(f"{key}.beats_classical_bound={str(beats).lower()}")
@@ -228,6 +236,7 @@ def cmd_validate_bench(args: argparse.Namespace) -> int:
     errors = [d for d in diags if d.severity == "error"]
     if errors:
         return 3
+    _require_protocol_bench(bench)  # what run needs beyond a well-formed bench
     print(f"ok: {len(bench.path_names)} paths, {len(bench.pipeline)} elements, "
           f"{len(bench.detectors)} detectors")
     return 0

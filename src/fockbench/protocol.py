@@ -8,17 +8,19 @@ circuit discards them.
 
 The bench upstream of the detectors is linear optics on two photons, so one
 engine composes its single-photon transfer matrices once, and every
-two-photon amplitude is a 2x2 permanent of them.  ``click_tables`` turns
+two-photon amplitude is a 2x2 permanent of them.  Summed over the modes of
+each detector class, the permanents' squares reduce to products of small
+per-class Gram matrices of the photons' amplitudes.  ``click_tables`` turns
 these into the exact (Alice, Bob) click-pattern tables of every phase of a
 grid, with the cell disarmed and fired, averaging the dephasing phase and
 the detectors (``noise.click_table``) in closed form.  ``run_sweep`` mixes
 the two tables by the race's arming probability (``timing``) in
-``outcome_distribution`` and makes one multinomial draw per phase point: the
-cost of a sweep does not grow with the trial count.  ``run_trial`` samples
-the same tables one shot at a time, Alice's pattern and then Bob's given
-hers, and draws only the race, whose jitter and timestamps its event log
-records.  ``analytic_coincidences`` derives the noiseless fringe
-independently, by Fock-state projection.
+``outcome_distribution`` and draws the whole grid in one multinomial call
+on one stream: the cost of a sweep does not grow with the trial count.
+``run_trial`` samples the same tables one shot at a time, Alice's pattern
+and then Bob's given hers, and draws only the race, whose jitter and
+timestamps its event log records.  ``analytic_coincidences`` derives the
+noiseless fringe independently, by Fock-state projection.
 """
 
 from __future__ import annotations
@@ -247,6 +249,10 @@ def _require_protocol_bench(bench: Bench) -> int:
     missing = [d for d in ALICE_DETECTORS + BOB_DETECTORS if d not in names]
     if missing:
         raise ProtocolError(f"protocol needs detectors D1, D2, D1*, D2*; missing {missing}")
+    if len({bench.detectors[d] for d in ALICE_DETECTORS + BOB_DETECTORS}) != 4:
+        raise ProtocolError("protocol needs detectors D1, D2, D1*, D2* on four distinct modes")
+    if len(bench.sources) != 2 or bench.sources[0] == bench.sources[1]:
+        raise ProtocolError("protocol needs two photon sources on distinct modes")
     eop = [i for i, e in enumerate(bench.pipeline) if e.kind is ElementKind.POCKELS_CELL]
     if len(eop) != 1:
         raise ProtocolError(f"protocol needs exactly one Pockels cell, got {len(eop)}")
@@ -261,6 +267,37 @@ def _require_protocol_bench(bench: Bench) -> int:
                     "an element after the Pockels cell touches Alice's detectors"
                 )
     return cell
+
+
+# Detector classes of an output mode: no protocol detector, D1, D2, D1*, D2*.
+# A photon in each class adds this to the flattened (Alice counts) x (Bob
+# counts) index 9 n(D1) + 27 n(D2) + n(D1*) + 3 n(D2*).
+_CLASS_COUNTS = np.array([0, 9, 27, 1, 3])
+#: (25, 81): one photon in class A and one in class B land in the cell of A + B
+_CLASS_PAIR_TO_COUNTS = np.eye(81)[np.add.outer(_CLASS_COUNTS, _CLASS_COUNTS).ravel()]
+
+
+def _gram_coefficients() -> np.ndarray:
+    """(3, 16, 16): the class-pair probability as bilinear forms of Grams.
+
+    Photon i reaches mode j with amplitude a_ij = p_ij + e^{it} q_ij, q
+    being its path through the cell's V mode.  Over output classes A and B,
+    sum_{j in A, k in B} |a1j a2k + a1k a2j|^2 / 2 is (A11 B22 + A22 B11 +
+    A12 B21 + A21 B12) / 2 with A_il = sum_{j in A} a_ij a_lj^*.  Expanding
+    a_i in p_i and q_i writes that as G_A^T W G_B over the 16 entries of the
+    Gram G[x, y] = sum_j v_xj v_yj^* of v = (p1, p2, q1, q2).  Its terms
+    carry e^{ikt} for k = 0, +-1, +-2; W[|k|] collects them.
+    """
+    w = np.zeros((3, 16, 16))
+    for i, l, m, n in ((0, 0, 1, 1), (1, 1, 0, 0), (0, 1, 1, 0), (1, 0, 0, 1)):
+        for s, s2, r, r2 in np.ndindex(2, 2, 2, 2):  # 0: p, 1: q
+            x = 4 * (2 * s + i) + 2 * s2 + l
+            y = 4 * (2 * r + m) + 2 * r2 + n
+            w[abs(s - s2 + r - r2), x, y] += 0.5
+    return w
+
+
+_W_K0, _W_K1, _W_K2 = _gram_coefficients()
 
 
 class _TransferEngine:
@@ -281,8 +318,6 @@ class _TransferEngine:
         modes = bench.modes
         idx = {m: i for i, m in enumerate(modes)}
         sources = [idx[m] for m in bench.sources]
-        if len(sources) != 2 or sources[0] == sources[1]:
-            raise ProtocolError("protocol needs two photon sources on distinct modes")
 
         def compose(elements) -> np.ndarray:
             mat = np.eye(len(modes), dtype=complex)
@@ -297,13 +332,10 @@ class _TransferEngine:
         self.after_cell = compose(bench.pipeline[eop + 1 :])
         self.channel = idx[ModeId(bench.pipeline[eop].paths[0], Polarization.V)]
 
-        # one photon in mode j and one in k land in cell c[j] + c[k] of the
-        # flattened (Alice counts) x (Bob counts) table, both indexed as
-        # n1 + 3 * n2 over (D1, D2) and (D1*, D2*)
-        det = {d: np.array([m == bench.detectors[d] for m in modes], dtype=np.int64)
-               for d in ALICE_DETECTORS + BOB_DETECTORS}
-        c = 9 * (det["D1"] + 3 * det["D2"]) + det["D1*"] + 3 * det["D2*"]
-        self.to_counts = np.eye(81)[np.add.outer(c, c).ravel()]  # (n * n, 81)
+        # (n, 5) one-hot detector class of each mode, ordered as _CLASS_COUNTS
+        protocol_modes = [bench.detectors[d] for d in ALICE_DETECTORS + BOB_DETECTORS]
+        cls = [protocol_modes.index(m) + 1 if m in protocol_modes else 0 for m in modes]
+        self.classes = np.eye(5)[cls]
 
     def at_cell(self, phis) -> np.ndarray:
         """(P, 2, n): each source photon's amplitudes just before the cell."""
@@ -315,29 +347,28 @@ class _TransferEngine:
 
         Rows index Alice's counts n(D1) + 3 n(D2), columns Bob's n(D1*) +
         3 n(D2*).  The channel phase is theta; ``sigma`` > 0 averages a
-        further t ~ N(0, sigma^2) exactly.  Split at the cell's V mode, the
-        two-photon amplitude is S0 + e^{it} S1 + e^{2it} S2 (S1 changes sign
-        when the cell fires), so E[e^{it}] = exp(-sigma^2 / 2) damps the
-        S1 cross terms and E[e^{2it}] = exp(-2 sigma^2) the S0-S2 one.
+        further t ~ N(0, sigma^2) exactly.  Each photon's amplitude splits
+        at the cell's V mode into p + e^{it} q (q changes sign when the cell
+        fires), so the count tables are bilinear in the per-class Grams of
+        (p1, p2, q1, q2) (see ``_gram_coefficients``): E[e^{it}] =
+        exp(-sigma^2 / 2) damps their terms odd in q and E[e^{2it}] =
+        exp(-2 sigma^2) the q-squared cross terms.
         """
         u = self.at_cell(phis)
         ch = self.channel
         rest = u.copy()
         rest[..., ch] = 0.0
-        m0 = rest @ self.after_cell  # every path but the one through the channel mode
-        mc = (u[..., ch, None] * np.exp(1j * theta)) * self.after_cell[ch]
-
-        def outer(x, y):  # photon 1 to j, photon 2 to k; plus its transpose: the permanent
-            return x[:, 0, :, None] * y[:, 1, None, :]
-
-        s0, s1, s2 = (r + r.swapaxes(-1, -2) for r in
-                      (outer(m0, m0), outer(m0, mc) + outer(mc, m0), outer(mc, mc)))
-        even = (abs(s0) ** 2 + abs(s1) ** 2 + abs(s2) ** 2
-                + 2.0 * math.exp(-2.0 * sigma**2) * (s0 * s2.conj()).real)
-        odd = 2.0 * math.exp(-0.5 * sigma**2) * ((s0 + s2) * s1.conj()).real
-        # an ordered output pair (j, k) carries |S[j, k]|^2 / 2
-        pairs = 0.5 * np.stack([even + odd, even - odd])
-        return (pairs.reshape(2, len(u), -1) @ self.to_counts).reshape(2, len(u), 9, 9)
+        p = rest @ self.after_cell  # every path but the one through the channel mode
+        q = (u[..., ch, None] * np.exp(1j * theta)) * self.after_cell[ch]
+        v = np.concatenate([p, q], axis=1)  # (P, 4, n)
+        outer = (v[:, :, None, :] * v.conj()[:, None, :, :]).reshape(len(u), 16, -1)
+        gram = (outer @ self.classes).swapaxes(-1, -2)  # (P, 5, 16)
+        odd = math.exp(-0.5 * sigma**2) * _W_K1
+        even = _W_K0 + math.exp(-2.0 * sigma**2) * _W_K2
+        coef = np.stack([even + odd, even - odd])  # (2, 16, 16)
+        tables = ((gram.reshape(-1, 16) @ coef).reshape(2, len(u), 5, 16)
+                  @ gram.swapaxes(-1, -2)).real  # (2, P, 5, 5)
+        return (tables.reshape(2, len(u), 25) @ _CLASS_PAIR_TO_COUNTS).reshape(2, len(u), 9, 9)
 
 
 def click_tables(eng: _TransferEngine, phis, noise: NoiseModel) -> np.ndarray:
@@ -430,10 +461,10 @@ def run_sweep(
 ) -> FringeData:
     """Accumulate coincidence counts over the phase grid.
 
-    The exact outcome tables of the whole grid come from one batched pass;
-    each phase point's trials are then one multinomial draw from its own
-    child stream of ``seed``.  ``workers`` must be >= 1 and has no effect:
-    there is no per-point work left to spread over processes.
+    The exact outcome tables of the whole grid come from one batched pass,
+    and all of the grid's trials from one multinomial draw on one stream of
+    ``seed``, a row per phase point.  ``workers`` must be >= 1 and has no
+    effect: there is no per-point work left to spread over processes.
     """
     if workers < 1:
         raise BadParam(f"workers must be >= 1, got {workers}")
@@ -441,13 +472,11 @@ def run_sweep(
         bench = bench.with_input_theta(cfg.input_theta)
     grid = cfg.phi_grid
     tables = outcome_distribution(_TransferEngine(bench), cfg)
-    # (D1, D2 trigger) x (Bob D1* only, D2* only, both)
+    # (D1, D2 trigger) x (Bob D1* only, D2* only, both), then discarded
     cells = np.maximum(tables[:, 1:3, 1:], 0.0).reshape(len(grid), 6)
-    draws = np.zeros((len(grid), 2, 3), dtype=np.int64)
-    for i, s in enumerate(np.random.SeedSequence(seed).spawn(len(grid))):
-        p = np.append(cells[i], 1.0 - cells[i].sum())  # last: discarded
-        rng = np.random.Generator(np.random.PCG64(s))
-        draws[i] = rng.multinomial(cfg.trials_per_phi, p)[:-1].reshape(2, 3)
+    ps = np.concatenate([cells, 1.0 - cells.sum(axis=1, keepdims=True)], axis=1)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    draws = rng.multinomial(cfg.trials_per_phi, ps)[:, :-1].reshape(len(grid), 2, 3)
     # a both-clicks trial counts toward both of its trigger's pairs
     pairs = (draws[:, :, :2] + draws[:, :, 2:]).reshape(len(grid), 4)
     counts = {pair: pairs[:, j] for j, pair in enumerate(PAIR_NAMES)}

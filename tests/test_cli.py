@@ -5,12 +5,29 @@ import pytest
 
 from fockbench.bench import figure1_text
 from fockbench.cli import main, sparkline
+from fockbench.protocol import PAIR_NAMES
 
 DATA = Path(__file__).parent / "data"
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def rerun_with_manifest_value(tmp_path, capsys, key, value):
+    """Rerun a small run from its manifest, edited to ``key=value``.
+
+    The run writes to ``tmp_path / "a"``, the rerun to ``tmp_path / "b"``;
+    returns the rerun's exit code and standard error.
+    """
+    run_cli("run", "--trials", "50", "--phi-steps", "5", "--out", str(tmp_path / "a"))
+    manifest = tmp_path / "a" / "manifest.txt"
+    lines = manifest.read_text().splitlines(keepends=True)
+    manifest.write_text("".join(f"{key}={value}\n" if line.startswith(f"{key}=") else line
+                                for line in lines))
+    capsys.readouterr()
+    code = run_cli("run", "--manifest", str(manifest), "--out", str(tmp_path / "b"))
+    return code, capsys.readouterr().err
 
 
 class TestRun:
@@ -75,27 +92,26 @@ class TestRun:
         assert not (tmp_path / "fringe.csv").exists()
 
     def test_non_numeric_manifest_value_exits_3(self, tmp_path, capsys):
-        run_cli("run", "--trials", "50", "--phi-steps", "5", "--out", str(tmp_path / "a"))
-        manifest = tmp_path / "a" / "manifest.txt"
-        manifest.write_text(manifest.read_text().replace("seed=0", "seed=abc"))
-        capsys.readouterr()
-        code = run_cli("run", "--manifest", str(manifest), "--out", str(tmp_path / "b"))
+        code, err = rerun_with_manifest_value(tmp_path, capsys, "seed", "abc")
         assert code == 3
-        err = capsys.readouterr().err
         assert err.startswith("error: ") and "seed='abc'" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("key, value", [("qe", "1.5"), ("trials", "0"),
+                                            ("jitter_ns", "-1"), ("phi_steps", "3"),
+                                            ("delay_m", "nan"), ("input_theta", "9.9")])
+    def test_out_of_range_manifest_value_exits_3(self, tmp_path, capsys, key, value):
+        # the same values given as flags are usage errors (exit 2)
+        code, err = rerun_with_manifest_value(tmp_path, capsys, key, value)
+        assert code == 3
+        manifest = tmp_path / "a" / "manifest.txt"
+        assert err.startswith(f"error: manifest {manifest}: ") and err.count("\n") == 1
+        assert not (tmp_path / "b" / "fringe.csv").exists()
 
     @pytest.mark.parametrize("key", ["seed", "mode", "trials", "phi_steps", "qe"])
     def test_empty_manifest_value_exits_3(self, tmp_path, capsys, key):
         # only flags that default to None (bench, delay_m, input_theta) may be empty
-        run_cli("run", "--trials", "50", "--phi-steps", "5", "--out", str(tmp_path / "a"))
-        manifest = tmp_path / "a" / "manifest.txt"
-        text = manifest.read_text()
-        manifest.write_text("".join(f"{key}=\n" if line.startswith(f"{key}=") else line
-                                    for line in text.splitlines(keepends=True)))
-        capsys.readouterr()
-        code = run_cli("run", "--manifest", str(manifest), "--out", str(tmp_path / "b"))
+        code, err = rerun_with_manifest_value(tmp_path, capsys, key, "")
         assert code == 3
-        err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err and err.count("\n") == 1
         assert not (tmp_path / "b" / "fringe.csv").exists()
 
@@ -119,18 +135,21 @@ class TestRun:
         ("eop bob\n", ""),
         ("source photon ks V", "source photon ka V"),
         ("eop bob\n", "eop bob\neop bob\n"),
+        ("detector D2* b2 V", "detector D2* b1 H"),
+        pytest.param(None, "path a\npath b\nsource photon a V\nbs a b theta=0.5\n"
+                     "phase a knob\ndetector D1 a V\n", id="two-paths-one-detector"),
     ])
     def test_bench_unfit_for_the_protocol_exits_3(self, tmp_path, capsys, old, new):
-        # each of these benches is well formed, so only the run rejects it
+        # each of these benches is well formed, but the protocol cannot run it
         bad = tmp_path / "bad.bench"
-        bad.write_text(figure1_text().replace(old, new, 1))
-        assert run_cli("validate-bench", str(bad)) == 0
-        capsys.readouterr()
-        code = run_cli("run", "--mode", "active", "--bench", str(bad), "--trials", "10",
-                       "--phi-steps", "4", "--out", str(tmp_path / "out"))
-        assert code == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error: protocol needs") and err.count("\n") == 1
+        bad.write_text(new if old is None else figure1_text().replace(old, new, 1))
+        for argv in (("validate-bench", str(bad)),
+                     ("run", "--mode", "active", "--bench", str(bad), "--trials", "10",
+                      "--phi-steps", "4", "--out", str(tmp_path / "out"))):
+            capsys.readouterr()
+            assert run_cli(*argv) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("error: protocol needs") and err.count("\n") == 1
 
     def test_bogus_mode_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as err:
@@ -208,6 +227,24 @@ class TestAnalyze:
             fit = fit_fringe(np.array(data.phi_grid), data.counts[pair])
             printed = float(out.split(f"{pair.replace('*', 's')}.sigma_phi0=")[1].split()[0])
             assert printed == pytest.approx(fit.sigma_phi0, abs=5e-7)
+
+    def test_prints_chi2_per_dof_of_the_fit(self, tmp_path, capsys):
+        import numpy as np
+
+        from fockbench.analysis import fit_fringe
+        from fockbench.protocol import FringeData
+
+        run_cli("run", "--trials", "2000", "--phi-steps", "9", "--seed", "1",
+                "--qe", "0.6", "--dephasing-sigma", "0.5", "--out", str(tmp_path))
+        capsys.readouterr()
+        run_cli("analyze", str(tmp_path / "fringe.csv"))
+        out = capsys.readouterr().out
+        data = FringeData.from_csv((tmp_path / "fringe.csv").read_text())
+        for pair in PAIR_NAMES:
+            fit = fit_fringe(np.array(data.phi_grid), data.counts[pair])
+            printed = float(out.split(f"{pair.replace('*', 's')}.chi2_dof=")[1].split()[0])
+            assert fit.dof == 6
+            assert printed == pytest.approx(fit.chi2 / fit.dof, abs=5e-7)
 
     def test_too_few_phases_exits_3(self, tmp_path, capsys):
         # run refuses fewer than 4 steps, so keep 3 of a 5-step run's phases

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -241,6 +242,30 @@ class TestRunSweep:
         assert all((a.counts[p] == b.counts[p]).all() for p in PAIR_NAMES)
         assert (a.trials_kept == b.trials_kept).all()
 
+    def test_one_stream_gives_independent_exact_draws(self, bench):
+        # over many seeds, every point's kept and pair counts are binomial
+        # around the exact tables: z-scores with mean 0 and variance 1, and
+        # adjacent points uncorrelated (a shifted row or a reused stream fails)
+        cfg = RunConfig(mode=RunMode.ACTIVE, trials_per_phi=2000, noise=FULL_NOISE,
+                        timing=JITTERED, phi_grid=default_phi_grid(9))
+        cells = outcome_distribution(_TransferEngine(bench), cfg)[:, 1:3, 1:]
+        p = np.column_stack([cells.sum(axis=(1, 2)),
+                             (cells[:, :, :2] + cells[:, :, 2:]).reshape(-1, 4)])
+        n = cfg.trials_per_phi
+        runs = [run_sweep(bench, cfg, seed=s) for s in range(300)]
+        counts = np.array([np.column_stack([d.trials_kept, *(d.counts[q] for q in PAIR_NAMES)])
+                           for d in runs])  # (seed, point, kept + pairs)
+        z = (counts - n * p) / np.sqrt(n * p * (1 - p))
+        m = z.shape[0] * z.shape[1]
+        excess_kurtosis = (1 - 6 * p * (1 - p)) / (n * p * (1 - p))
+        for k in range(z.shape[2]):
+            zk = z[:, :, k]
+            assert abs(zk.mean()) <= 5 / math.sqrt(m)
+            assert abs((zk**2).mean() - 1) <= 5 * math.sqrt((2 + excess_kurtosis[:, k].mean()) / m)
+        d1_d2s = z[:, :, 1 + PAIR_NAMES.index("D1-D2*")]
+        adjacent = (d1_d2s[:, :-1] * d1_d2s[:, 1:]).ravel()
+        assert abs(adjacent.mean()) <= 5 / math.sqrt(adjacent.size)
+
     def test_worker_count_does_not_change_results(self, bench):
         cfg = RunConfig(mode=RunMode.ACTIVE, trials_per_phi=2000,
                         phi_grid=default_phi_grid(5),
@@ -318,6 +343,26 @@ detector D2 d V
 detector D1* a V
 detector D2* b V
 """
+
+
+# seeds of generated protocol benches: the bundled bench with every splitter
+# theta, quarter-wave angle and the input theta moved by up to 0.3 rad at random
+GENERATED = ("gen1", "gen2", "gen3")
+
+
+def protocol_bench(which, builtin):
+    """The builtin bench, the bunching bench or a generated one, by name."""
+    from fockbench.bench import figure1_text, parse
+
+    if which == "builtin":
+        return builtin
+    if which == "bunching":
+        return parse(BUNCHING_BENCH)
+    rng = np.random.default_rng(int(which.removeprefix("gen")))
+    text = re.sub(r"(theta|angle)=(\S+)",
+                  lambda m: f"{m[1]}={float(m[2]) + rng.uniform(-0.3, 0.3)!r}",
+                  figure1_text())
+    return parse(text).with_input_theta(math.pi / 4 + rng.uniform(-0.3, 0.3))
 
 
 def fock_click_table(bench, phi, armed):
@@ -399,12 +444,9 @@ class TestOutcomeDistribution:
         assert chi2_sf(chi2, len(obs) - 1) >= 1e-6
 
     @pytest.mark.parametrize("phi", [0.0, 0.9, 2.5, 4.1])
-    @pytest.mark.parametrize("which", ["builtin", "bunching"])
+    @pytest.mark.parametrize("which", ["builtin", "bunching", *GENERATED])
     def test_ideal_tables_match_fock_projection(self, bench, phi, which):
-        from fockbench.bench import parse
-
-        if which == "bunching":
-            bench = parse(BUNCHING_BENCH)
+        bench = protocol_bench(which, bench)
         # qe 1, no dark counts, sigma 0 and the stock 22 ns < 24 ns race: p_arm = 1
         got = table(bench, phi, RunMode.ACTIVE, NoiseModel(), TimingModel())
         armed, disarmed = fock_click_table(bench, phi, True), fock_click_table(bench, phi, False)
@@ -413,14 +455,15 @@ class TestOutcomeDistribution:
         assert got[rows] == pytest.approx(disarmed[rows], abs=1e-12)
         assert abs(armed[2] - disarmed[2]).max() > 0.01  # the cell matters here
 
-    @pytest.mark.parametrize("fired", [0, 1])
-    def test_dephasing_average_equals_quadrature_over_theta(self, fired):
-        from fockbench.bench import parse
-
+    @pytest.mark.parametrize("which, fired", [
+        pytest.param("bunching", 0, id="0"), pytest.param("bunching", 1, id="1"),
+        *(pytest.param(g, f, id=f"{g}-{f}") for g in GENERATED for f in (0, 1)),
+    ])
+    def test_dephasing_average_equals_quadrature_over_theta(self, bench, which, fired):
         # Gauss-Hermite quadrature of the explicit-theta tables over
         # theta ~ N(0, sigma^2) against the closed-form average, on a bench
-        # where the channel carries 0, 1 or 2 photons
-        eng = _TransferEngine(parse(BUNCHING_BENCH))
+        # where the channel carries 0, 1 or 2 photons and on generated ones
+        eng = _TransferEngine(protocol_bench(which, bench))
         phis, sigma = (0.4, 2.9), 0.7
         x, w = np.polynomial.hermite.hermgauss(60)
         quad = sum(wi * eng.count_tables(phis, theta=math.sqrt(2) * sigma * xi)[fired]
