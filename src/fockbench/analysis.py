@@ -97,12 +97,6 @@ def fidelity_from_visibility(v: float) -> float:
     return 0.5 * (1.0 + v)
 
 
-def visibility_from_fidelity(f: float) -> float:
-    if not 0.0 <= f <= 1.0:
-        raise BadParam(f"fidelity {f} outside [0, 1]")
-    return 2.0 * f - 1.0
-
-
 def error_propagation(fit: FitResult) -> float:
     """Standard error of the fidelity: sigma_F = sigma_V / 2."""
     return 0.5 * fit.sigma_visibility

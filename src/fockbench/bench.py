@@ -76,9 +76,6 @@ class Bench:
             e.params[0] for e in self.pipeline if e.kind is ElementKind.DELAY_LINE
         )
 
-    def path_index(self, name: str) -> int:
-        return self.path_names.index(name)
-
     def mode_name(self, mode: ModeId) -> str:
         return f"{self.path_names[mode.path]}.{mode.pol.name}"
 
@@ -256,8 +253,6 @@ def parse_with_diagnostics(source: str) -> tuple[Bench | None, list[Diagnostic]]
             code = "bad-param" if isinstance(exc, BadParam) else "bad-wiring"
             diags.append(Diagnostic(code, str(exc), lineno, cols[0]))
 
-    if not sources:
-        diags.append(Diagnostic("missing-source", "bench declares no photon source"))
     bench = Bench(tuple(path_names), tuple(sources), tuple(pipeline), detectors,
                   source_lines)
     diags.extend(validate(bench))
@@ -316,12 +311,8 @@ def validate(bench: Bench) -> list[Diagnostic]:
     return diags
 
 
-_QUARTER = math.pi / 4
-_HALFPI = math.pi / 2
-
-
 def builtin_figure1() -> Bench:
-    """Programmatic construction of the bundled ``figure1.bench`` apparatus.
+    """The bundled ``figure1.bench`` apparatus.
 
     Topology: two V-polarized photons; one is delocalized over (ka, kb) by a
     50:50 splitter (the nonlocal channel), the other over (ks, kanc) by the
@@ -331,29 +322,7 @@ def builtin_figure1() -> Bench:
     Pockels cell flips the V mode only, and a quarter-wave pair plus a
     polarizing splitter form the 50:50 verification splitter feeding D1*/D2*.
     """
-    names = ("ka", "kb", "ks", "kanc", "bob", "aux", "b1", "b2")
-    ka, kb, ks, kanc, bob, aux, b1, b2 = range(8)
-    pipeline = (
-        el.beam_splitter(ka, kb, _QUARTER),
-        el.beam_splitter(kanc, ks, _QUARTER),
-        el.phase_shifter(ks, 0.0, knob=True),
-        el.beam_splitter(ks, ka, _QUARTER),
-        el.quarter_wave_plate(kanc, _QUARTER),
-        el.quarter_wave_plate(kanc, _QUARTER),
-        el.polarizing_bs(kanc, kb, bob, aux),
-        el.delay_line(bob, 8.0),
-        el.pockels_cell(bob),
-        el.quarter_wave_plate(bob, _HALFPI),
-        el.quarter_wave_plate(bob, _QUARTER),
-        el.polarizing_bs(bob, aux, b1, b2),
-    )
-    detectors = {
-        "D1": ModeId(ka, V),
-        "D2": ModeId(ks, V),
-        "D1*": ModeId(b1, H),
-        "D2*": ModeId(b2, V),
-    }
-    return Bench(names, (ModeId(ka, V), ModeId(ks, V)), pipeline, detectors)
+    return parse(figure1_text())
 
 
 def figure1_text() -> str:

@@ -160,8 +160,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     (out / "fringe.csv").write_text(data.to_csv(), encoding="utf-8")
     (out / "manifest.txt").write_text(_manifest_text(args), encoding="utf-8")
     if args.log_events:
+        # a child stream of the seed, apart from the sweep's own stream
         rng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence(args.seed).spawn(len(cfg.phi_grid) + 1)[-1]))
+            np.random.SeedSequence(args.seed).spawn(1)[0]))
         record = run_trial(bench, cfg.phi_grid[0], cfg, rng)
         (out / "events.csv").write_text(record.log.to_csv(), encoding="utf-8")
 
@@ -245,10 +246,8 @@ def cmd_validate_bench(args: argparse.Namespace) -> int:
 def cmd_reproduce_paper(args: argparse.Namespace) -> int:
     """Three sweeps mirroring the bench's headline figure and fidelities."""
     bench = load(args.bench)
-    sigma_passive = (calibrate_sigma(1.0, args.passive_visibility)
-                     if args.passive_sigma is None else args.passive_sigma)
-    sigma_added = (calibrate_sigma(args.passive_visibility, args.active_visibility)
-                   if args.dephasing_sigma is None else args.dephasing_sigma)
+    sigma_passive = calibrate_sigma(1.0, args.passive_visibility)
+    sigma_added = calibrate_sigma(args.passive_visibility, args.active_visibility)
     sigma_total = math.hypot(sigma_passive, sigma_added)
 
     def cfg(mode: RunMode, sigma: float) -> RunConfig:
@@ -346,10 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--out", default=None)
     p_rep.add_argument("--passive-visibility", type=float, default=0.906)
     p_rep.add_argument("--active-visibility", type=float, default=0.80)
-    p_rep.add_argument("--passive-sigma", type=float, default=None,
-                       help="override the calibrated passive dephasing")
-    p_rep.add_argument("--dephasing-sigma", type=float, default=None,
-                       help="override the calibrated delay-line dephasing")
     p_rep.set_defaults(func=cmd_reproduce_paper)
     return parser
 

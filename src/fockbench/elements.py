@@ -49,11 +49,6 @@ class Element:
     is_knob: bool = False
     actions: tuple[Action, ...] = field(default=(), compare=True)
 
-    def delay_ns(self, ns_per_m: float) -> float:
-        if self.kind is ElementKind.DELAY_LINE:
-            return self.params[0] * ns_per_m
-        return 0.0
-
 
 def _u2(m1: ModeId, m2: ModeId, u: np.ndarray) -> Action:
     rows = tuple(tuple(complex(x) for x in row) for row in u)
@@ -175,21 +170,16 @@ def apply_element(state: FockState, element: Element, armed: bool = False) -> Fo
     return state
 
 
-def single_photon_matrix(
-    element: Element, modes: tuple[ModeId, ...], armed: bool = False
-) -> np.ndarray:
+def single_photon_matrix(element: Element, modes: tuple[ModeId, ...]) -> np.ndarray:
     """Creation-operator transfer matrix of this element on the full mode set.
 
     Rows are input modes, columns output modes; composing a pipeline is the
-    left-to-right matrix product.
+    left-to-right matrix product.  A Pockels cell has no actions, so its
+    matrix is the identity: its sigma_z is decided per trial.
     """
     n = len(modes)
     idx = {m: i for i, m in enumerate(modes)}
     mat = np.eye(n, dtype=complex)
-    if element.kind is ElementKind.POCKELS_CELL:
-        if armed:
-            mat[idx[ModeId(element.paths[0], V)], idx[ModeId(element.paths[0], V)]] = -1.0
-        return mat
     for act in element.actions:
         step = np.eye(n, dtype=complex)
         if act.kind == "u2":

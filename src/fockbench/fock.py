@@ -38,7 +38,7 @@ PRUNE_EPSILON = 1e-14
 #: tolerance for the unitarity precondition u+ u = I
 UNITARITY_TOL = 1e-10
 
-#: default truncation: at most this many photons per mode and in total
+#: truncation: at most this many photons per mode and in total
 MAX_PER_MODE = 2
 MAX_TOTAL = 2
 
@@ -71,21 +71,13 @@ class FockState:
     share across threads.
     """
 
-    __slots__ = ("modes", "amplitudes", "max_per_mode", "max_total", "_index")
+    __slots__ = ("modes", "amplitudes", "_index")
 
-    def __init__(
-        self,
-        modes: tuple[ModeId, ...],
-        amplitudes: Mapping[Occupation, complex],
-        max_per_mode: int = MAX_PER_MODE,
-        max_total: int = MAX_TOTAL,
-    ):
+    def __init__(self, modes: tuple[ModeId, ...], amplitudes: Mapping[Occupation, complex]):
         self.modes = tuple(modes)
         self.amplitudes = {
             occ: complex(a) for occ, a in amplitudes.items() if abs(a) >= PRUNE_EPSILON
         }
-        self.max_per_mode = max_per_mode
-        self.max_total = max_total
         self._index = {m: i for i, m in enumerate(self.modes)}
 
     # -- bookkeeping ---------------------------------------------------
@@ -102,11 +94,8 @@ class FockState:
     def norm_sq(self) -> float:
         return sum(abs(a) ** 2 for a in self.amplitudes.values())
 
-    def total_photons(self) -> int:
-        return max((sum(occ) for occ in self.amplitudes), default=0)
-
     def _replace(self, amplitudes: Mapping[Occupation, complex]) -> "FockState":
-        return FockState(self.modes, amplitudes, self.max_per_mode, self.max_total)
+        return FockState(self.modes, amplitudes)
 
     def renormalized(self) -> "FockState":
         n = math.sqrt(self.norm_sq())
@@ -121,11 +110,7 @@ class FockState:
         return f"FockState({terms})"
 
 
-def make_vacuum(
-    modes: Iterable[ModeId],
-    max_per_mode: int = MAX_PER_MODE,
-    max_total: int = MAX_TOTAL,
-) -> FockState:
+def make_vacuum(modes: Iterable[ModeId]) -> FockState:
     """All-zero occupation with amplitude one."""
     modes = tuple(modes)
     if not modes:
@@ -133,7 +118,7 @@ def make_vacuum(
     if len(set(modes)) != len(modes):
         raise DuplicateMode(f"duplicate mode in {modes}")
     zero = tuple(0 for _ in modes)
-    return FockState(modes, {zero: 1.0 + 0j}, max_per_mode, max_total)
+    return FockState(modes, {zero: 1.0 + 0j})
 
 
 def create_photon(state: FockState, mode: ModeId) -> FockState:
@@ -142,10 +127,10 @@ def create_photon(state: FockState, mode: ModeId) -> FockState:
     out: dict[Occupation, complex] = {}
     for occ, amp in state.amplitudes.items():
         n = occ[i]
-        if n + 1 > state.max_per_mode or sum(occ) + 1 > state.max_total:
+        if n + 1 > MAX_PER_MODE or sum(occ) + 1 > MAX_TOTAL:
             raise TruncationOverflow(
                 f"creating a photon on {mode} exceeds truncation "
-                f"(per-mode {state.max_per_mode}, total {state.max_total})"
+                f"(per-mode {MAX_PER_MODE}, total {MAX_TOTAL})"
             )
         new = occ[:i] + (n + 1,) + occ[i + 1 :]
         out[new] = out.get(new, 0j) + amp * math.sqrt(n + 1)
@@ -204,10 +189,9 @@ def apply_two_mode_unitary(state: FockState, m1: ModeId, m2: ModeId, u) -> FockS
         for k, c in enumerate(coeffs):
             if c == 0:
                 continue
-            if k > state.max_per_mode or total - k > state.max_per_mode:
+            if k > MAX_PER_MODE or total - k > MAX_PER_MODE:
                 raise TruncationOverflow(
-                    f"unitary mixing drives occupation past per-mode cap "
-                    f"{state.max_per_mode}"
+                    f"unitary mixing drives occupation past per-mode cap {MAX_PER_MODE}"
                 )
             new = _with_pair(occ, i1, i2, k, total - k)
             weight = base * c * math.sqrt(math.factorial(k) * math.factorial(total - k))
@@ -257,28 +241,11 @@ def relabel_modes(state: FockState, mapping: Mapping[ModeId, ModeId]) -> FockSta
     return state._replace(out)
 
 
-def _match(occ: Occupation, constraints: list[tuple[int, int]]) -> bool:
-    return all(occ[i] == n for i, n in constraints)
-
-
 def partial_probability(state: FockState, pattern: Mapping[ModeId, int]) -> float:
     """Probability that the constrained modes carry exactly ``pattern``."""
     constraints = [(state.index_of(m), n) for m, n in pattern.items()]
     return sum(
-        abs(a) ** 2 for occ, a in state.amplitudes.items() if _match(occ, constraints)
+        abs(a) ** 2 for occ, a in state.amplitudes.items()
+        if all(occ[i] == n for i, n in constraints)
     )
 
-
-def project(
-    state: FockState, pattern: Mapping[ModeId, int]
-) -> tuple[FockState, float]:
-    """Collapse onto entries matching ``pattern``; returns (state, probability)."""
-    constraints = [(state.index_of(m), n) for m, n in pattern.items()]
-    kept = {
-        occ: a for occ, a in state.amplitudes.items() if _match(occ, constraints)
-    }
-    p = sum(abs(a) ** 2 for a in kept.values())
-    if p <= 1e-28:
-        raise ImpossibleOutcome(f"pattern {dict(pattern)} has zero probability")
-    inv = 1.0 / math.sqrt(p)
-    return state._replace({occ: a * inv for occ, a in kept.items()}), p

@@ -25,7 +25,6 @@ noiseless fringe independently, by Fock-state projection.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -189,11 +188,6 @@ class AnalyticCoincidences:
     pairs: dict[str, float]
     p_coincidence: float
 
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        """Order (D1-D2*, D1-D1*, D2-D2*, D2-D1*)."""
-        p = self.pairs
-        return (p["D1-D2*"], p["D1-D1*"], p["D2-D2*"], p["D2-D1*"])
-
 
 def phase_from_position(x_meters: float, lambda_meters: float) -> float:
     """Mirror position to interference phase: phi = pi * x * 2**1.5 / lambda."""
@@ -206,31 +200,6 @@ def position_from_phase(phi: float, lambda_meters: float) -> float:
     if lambda_meters <= 0:
         raise BadParam("wavelength must be positive")
     return phi * lambda_meters / (math.pi * 2.0**1.5)
-
-
-@dataclass(frozen=True)
-class QubitSpec:
-    """Input qubit alpha|0> + beta|1> on the teleported mode."""
-
-    alpha: complex
-    beta: complex
-
-    def __post_init__(self):
-        n = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(n - 1.0) > 1e-12:
-            raise BadParam(f"|alpha|^2 + |beta|^2 = {n}, want 1")
-
-    def bench_settings(self) -> tuple[float, float]:
-        """(splitter theta, knob phase offset) preparing this qubit.
-
-        The preparation splitter leaves cos(theta) amplitude on the
-        one-photon branch and sin(theta) on the vacuum (ancilla) branch, so
-        theta = atan2(|alpha|, |beta|); the knob adds the relative phase
-        arg(beta) - arg(alpha) onto the photon branch.
-        """
-        theta = math.atan2(abs(self.alpha), abs(self.beta))
-        phase = cmath.phase(self.beta) - cmath.phase(self.alpha) if self.alpha else 0.0
-        return theta, phase
 
 
 # ----------------------------------------------------------------------
@@ -463,9 +432,11 @@ def run_sweep(
 
     The exact outcome tables of the whole grid come from one batched pass,
     and all of the grid's trials from one multinomial draw on one stream of
-    ``seed``, a row per phase point.  ``workers`` must be >= 1 and has no
-    effect: there is no per-point work left to spread over processes.
+    ``seed`` (>= 0), a row per phase point.  ``workers`` must be >= 1 and
+    has no effect: there is no per-point work left to spread over processes.
     """
+    if seed < 0:
+        raise BadParam(f"seed must be >= 0, got {seed}")
     if workers < 1:
         raise BadParam(f"workers must be >= 1, got {workers}")
     if cfg.input_theta is not None:

@@ -28,30 +28,24 @@ EOP_MISSED = "EopMissed"
 class TimingModel:
     risetime_ns: float = 22.0
     delay_ns_per_m: float = 3.0
-    detector_latency_ns: float = 0.0
     jitter_sigma_ns: float = 0.0
 
     def __post_init__(self):
-        for name in ("risetime_ns", "delay_ns_per_m", "detector_latency_ns",
-                     "jitter_sigma_ns"):
+        for name in ("risetime_ns", "delay_ns_per_m", "jitter_sigma_ns"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise BadParam(f"{name} must be finite and >= 0")
-
-    def hv_ready_ns(self, click_time_ns: float, jitter_ns: float = 0.0) -> float:
-        return click_time_ns + self.detector_latency_ns + self.risetime_ns + jitter_ns
 
     def arming_probability(self, delay_m: float) -> float:
         """Chance that ``race`` arms the cell for a photon emitted at the click.
 
-        The cell is armed iff latency + risetime + jitter <= delay_m *
-        ns_per_m: Phi(slack / sigma_j) with jitter, and without it a step
-        that arms at zero slack.
+        The cell is armed iff risetime + jitter <= delay_m * ns_per_m:
+        Phi(slack / sigma_j) with jitter, and without it a step that arms at
+        zero slack.
         """
         deadline = delay_m * self.delay_ns_per_m
-        base = self.detector_latency_ns + self.risetime_ns
         if self.jitter_sigma_ns == 0:
-            return float(base <= deadline)
-        z = (deadline - base) / self.jitter_sigma_ns
+            return float(self.risetime_ns <= deadline)
+        z = (deadline - self.risetime_ns) / self.jitter_sigma_ns
         return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
@@ -92,12 +86,11 @@ def race(
     timing: TimingModel,
     delay_length_m: float,
     rng: np.random.Generator | None = None,
-    emission_time_ns: float = 0.0,
 ) -> RaceResult:
     """Race the HV chain against the photon's flight down the delay line.
 
-    armed_in_time iff click + latency + risetime + jitter <= emission +
-    length * ns_per_m.  The log records every event in time order.
+    The photon is emitted at t = 0.  armed_in_time iff click + risetime +
+    jitter <= length * ns_per_m.  The log records every event in time order.
     """
     if click_time_ns < 0:
         raise BadParam("click time must be >= 0")
@@ -106,12 +99,12 @@ def race(
         if rng is None:
             raise BadParam("jittered race needs an rng")
         jitter = float(rng.normal(0.0, timing.jitter_sigma_ns))
-    hv_ready = timing.hv_ready_ns(click_time_ns, jitter)
-    photon_at_eop = emission_time_ns + delay_length_m * timing.delay_ns_per_m
+    hv_ready = click_time_ns + timing.risetime_ns + jitter
+    photon_at_eop = delay_length_m * timing.delay_ns_per_m
     armed = hv_ready <= photon_at_eop
 
     log = EventLog()
-    log.add(emission_time_ns, PHOTON_EMITTED)
+    log.add(0.0, PHOTON_EMITTED)
     log.add(click_time_ns, ALICE_CLICK)
     log.add(hv_ready, HV_READY, f"jitter={jitter:.3f}")
     log.add(photon_at_eop, PHOTON_AT_EOP)

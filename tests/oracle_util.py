@@ -1,8 +1,10 @@
 """Independent brute-force amplitude oracle for linear-optics checks.
 
-Composes the single-photon transfer matrix of a pipeline and derives every
-multi-photon amplitude from a matrix permanent, never touching the engine's
-per-element operator expansion:
+Composes a pipeline's single-photon transfer matrix from the same
+per-element matrices the protocol engine uses
+(``elements.single_photon_matrix``) and derives every multi-photon amplitude
+from a matrix permanent, never touching the Fock-state expansion of
+``fock.apply_two_mode_unitary``:
 
     <out| U |in> = perm(B) / sqrt(prod(in!) * prod(out!))
 
@@ -14,8 +16,7 @@ from itertools import permutations
 
 import numpy as np
 
-from fockbench.elements import Element, ElementKind
-from fockbench.fock import ModeId, Polarization
+from fockbench.elements import single_photon_matrix
 
 
 def permanent(mat: np.ndarray) -> complex:
@@ -32,39 +33,11 @@ def permanent(mat: np.ndarray) -> complex:
     return total
 
 
-def element_matrix(element: Element, modes: tuple[ModeId, ...], armed: bool = False) -> np.ndarray:
-    """Single-photon transfer matrix (rows: inputs, cols: outputs)."""
-    n = len(modes)
-    idx = {m: i for i, m in enumerate(modes)}
-    mat = np.eye(n, dtype=complex)
-    if element.kind is ElementKind.POCKELS_CELL:
-        if armed:
-            j = idx[ModeId(element.paths[0], Polarization.V)]
-            mat[j, j] = -1.0
-        return mat
-    for act in element.actions:
-        step = np.eye(n, dtype=complex)
-        if act.kind == "u2":
-            i1, i2 = idx[act.modes[0]], idx[act.modes[1]]
-            (a, b), (c, d) = act.matrix
-            step[i1, i1], step[i1, i2] = a, b
-            step[i2, i1], step[i2, i2] = c, d
-        elif act.kind == "phase":
-            i = idx[act.modes[0]]
-            step[i, i] = np.exp(1j * act.matrix[0])
-        elif act.kind == "perm":
-            for src, _ in act.mapping:
-                step[idx[src], idx[src]] = 0.0
-            for src, dst in act.mapping:
-                step[idx[src], idx[dst]] = 1.0
-        mat = mat @ step
-    return mat
-
-
-def composed_matrix(pipeline, modes, armed: bool = False) -> np.ndarray:
+def composed_matrix(pipeline, modes) -> np.ndarray:
+    """The production per-element matrices, multiplied left to right."""
     mat = np.eye(len(modes), dtype=complex)
     for e in pipeline:
-        mat = mat @ element_matrix(e, modes, armed)
+        mat = mat @ single_photon_matrix(e, modes)
     return mat
 
 
@@ -86,9 +59,9 @@ def _factorial_prod(occ) -> float:
     return out
 
 
-def oracle_amplitudes(pipeline, modes, in_occ, armed: bool = False) -> dict:
+def oracle_amplitudes(pipeline, modes, in_occ) -> dict:
     """Every output amplitude for ``in_occ`` photons through ``pipeline``."""
-    mat = composed_matrix(pipeline, modes, armed)
+    mat = composed_matrix(pipeline, modes)
     in_modes = [i for i, n in enumerate(in_occ) for _ in range(n)]
     total = sum(in_occ)
     out = {}

@@ -9,7 +9,6 @@ from fockbench.analysis import (
     error_propagation,
     fidelity_from_visibility,
     fit_fringe,
-    visibility_from_fidelity,
     wrap_phase,
 )
 from fockbench.errors import BadParam, FitUnderdetermined
@@ -120,10 +119,6 @@ class TestFidelity:
         vs = np.linspace(0, 1, 50)
         fs = [fidelity_from_visibility(v) for v in vs]
         assert all(b > a for a, b in zip(fs, fs[1:]))
-
-    def test_inverse_identity(self):
-        for v in np.linspace(0, 1, 11):
-            assert visibility_from_fidelity(fidelity_from_visibility(v)) == pytest.approx(v, abs=1e-15)
 
 
 class TestErrorPropagation:

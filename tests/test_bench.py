@@ -58,7 +58,7 @@ class TestParseErrors:
     def test_empty_file_missing_source(self):
         with pytest.raises(BenchError) as err:
             parse("")
-        assert "missing-source" in codes(err.value.diagnostics)
+        assert codes(err.value.diagnostics).count("missing-source") == 1
 
     def test_undeclared_path_with_line(self):
         bad = "path a\nsource photon a V\nbs a zz theta=0.5\nphase a knob\ndetector D a V\n"
@@ -158,9 +158,6 @@ class TestValidate:
 
 
 class TestBuiltin:
-    def test_equals_bundled_file(self):
-        assert builtin_figure1() == parse(figure1_text())
-
     def test_validates_clean(self):
         assert validate(builtin_figure1()) == []
 

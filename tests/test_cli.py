@@ -78,7 +78,7 @@ class TestRun:
                                        ("--jitter-ns", "-1"), ("--delay-m", "nan"),
                                        ("--delay-m", "inf"), ("--risetime-ns", "nan"),
                                        ("--ns-per-m", "inf"), ("--dephasing-sigma", "nan"),
-                                       ("--jitter-ns", "nan")])
+                                       ("--jitter-ns", "nan"), ("--seed", "-1")])
     def test_out_of_range_parameter_exits_2(self, tmp_path, capsys, flags):
         code = run_cli("run", *flags, "--phi-steps", "5", "--out", str(tmp_path))
         assert code == 2
@@ -98,7 +98,8 @@ class TestRun:
 
     @pytest.mark.parametrize("key, value", [("qe", "1.5"), ("trials", "0"),
                                             ("jitter_ns", "-1"), ("phi_steps", "3"),
-                                            ("delay_m", "nan"), ("input_theta", "9.9")])
+                                            ("delay_m", "nan"), ("input_theta", "9.9"),
+                                            ("seed", "-1")])
     def test_out_of_range_manifest_value_exits_3(self, tmp_path, capsys, key, value):
         # the same values given as flags are usage errors (exit 2)
         code, err = rerun_with_manifest_value(tmp_path, capsys, key, value)
@@ -167,6 +168,17 @@ class TestRun:
         events = (tmp_path / "events.csv").read_text()
         assert events.startswith("timestamp_ns,event,detail")
         assert "PhotonEmitted" in events
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_event_log_does_not_depend_on_the_grid(self, tmp_path, seed):
+        # both grids start at phi = 0, where the logged trial is taken
+        logs = []
+        for steps in ("5", "9"):
+            out = tmp_path / steps
+            run_cli("run", "--mode", "active", "--trials", "10", "--phi-steps", steps,
+                    "--seed", str(seed), "--log-events", "--out", str(out))
+            logs.append((out / "events.csv").read_bytes())
+        assert logs[0] == logs[1]
 
     def test_delay_override_defeats_the_correction(self, tmp_path):
         from fockbench.protocol import FringeData
@@ -358,7 +370,7 @@ class TestValidateBench:
 class TestReproducePaper:
     def test_smoke_noiseless(self, tmp_path, capsys):
         code = run_cli("reproduce-paper", "--trials", "1500", "--phi-steps", "9",
-                       "--passive-sigma", "0", "--dephasing-sigma", "0",
+                       "--passive-visibility", "1", "--active-visibility", "1",
                        "--out", str(tmp_path))
         out = capsys.readouterr().out
         assert code == 0
@@ -371,12 +383,13 @@ class TestReproducePaper:
         assert (tmp_path / "active.csv").exists()
 
 
-    def test_uncalibratable_visibility_exits_2(self, tmp_path, capsys):
-        # the active visibility cannot exceed the passive 0.906
-        code = run_cli("reproduce-paper", "--trials", "100", "--phi-steps", "5",
-                       "--active-visibility", "0.95")
+    # the active visibility cannot exceed the passive 0.906
+    @pytest.mark.parametrize("flags", [("--active-visibility", "0.95"), ("--seed", "-1")])
+    def test_out_of_range_parameter_exits_2(self, capsys, flags):
+        code = run_cli("reproduce-paper", "--trials", "100", "--phi-steps", "5", *flags)
         assert code == 2
-        assert "internal error" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestSparkline:

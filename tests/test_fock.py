@@ -18,7 +18,6 @@ from fockbench.fock import (
     create_photon,
     make_vacuum,
     partial_probability,
-    project,
     relabel_modes,
 )
 
@@ -165,19 +164,10 @@ class TestPartialProbability:
             partial_probability(singlet(), {M[5]: 1})
 
 
-class TestProject:
-    def test_singlet_collapse(self):
-        out, p = project(singlet(), {M[0]: 1})
-        assert p == pytest.approx(0.5, abs=1e-12)
-        assert out.amplitude((1, 0)) == pytest.approx(1.0, abs=1e-12)
-
-    def test_impossible_pattern(self):
+class TestRenormalized:
+    def test_zero_state_is_impossible(self):
         with pytest.raises(ImpossibleOutcome):
-            project(singlet(), {M[0]: 2})
-
-    def test_norm_after_projection(self):
-        out, _ = project(singlet(), {M[1]: 1})
-        assert out.norm_sq() == pytest.approx(1.0, abs=1e-12)
+            make_vacuum(M[:2])._replace({}).renormalized()
 
 
 class TestRelabel:

@@ -10,7 +10,6 @@ from fockbench.noise import ClickPattern, NoiseModel
 from fockbench.protocol import (
     PAIR_NAMES,
     BellOutcome,
-    QubitSpec,
     RunConfig,
     RunMode,
     _TransferEngine,
@@ -60,18 +59,23 @@ class TestClassify:
         assert not BellOutcome.PSI3.idle and not BellOutcome.PSI4.idle
 
 
+def pairs(*probs):
+    """The four pair probabilities, given in PAIR_NAMES order."""
+    return dict(zip(PAIR_NAMES, probs))
+
+
 class TestAnalyticCoincidences:
     def test_phi_zero(self, bench):
         ac = analytic_coincidences(bench, 0.0)
-        assert ac.as_tuple() == pytest.approx((0.5, 0.0, 0.0, 0.5), abs=1e-12)
+        assert ac.pairs == pytest.approx(pairs(0.0, 0.5, 0.5, 0.0), abs=1e-12)
 
     def test_phi_pi(self, bench):
         ac = analytic_coincidences(bench, math.pi)
-        assert ac.as_tuple() == pytest.approx((0.0, 0.5, 0.5, 0.0), abs=1e-12)
+        assert ac.pairs == pytest.approx(pairs(0.5, 0.0, 0.0, 0.5), abs=1e-12)
 
     def test_phi_pi_over_three(self, bench):
         ac = analytic_coincidences(bench, math.pi / 3)
-        assert ac.as_tuple() == pytest.approx((0.375, 0.125, 0.125, 0.375), abs=1e-12)
+        assert ac.pairs == pytest.approx(pairs(0.125, 0.375, 0.375, 0.125), abs=1e-12)
 
     def test_closed_form_table_on_grid(self, bench):
         for phi in np.linspace(0, 2 * math.pi, 17):
@@ -558,7 +562,7 @@ class TestConfig:
         # the knob moved onto Bob's output path, past the cell
         knob = bench.knob_index
         moved = (bench.pipeline[:knob] + bench.pipeline[knob + 1:]
-                 + (phase_shifter(bench.path_index("b2"), knob=True),))
+                 + (phase_shifter(bench.path_names.index("b2"), knob=True),))
         late = Bench(bench.path_names, bench.sources, moved, dict(bench.detectors))
         with pytest.raises(ProtocolError):
             run_sweep(late, RunConfig(trials_per_phi=1, phi_grid=(0.0,)), seed=0)
@@ -591,21 +595,11 @@ class TestPhaseFromPosition:
             position_from_phase(1.0, -1.0)
 
 
-class TestQubitSpec:
-    def test_norm_enforced(self):
-        with pytest.raises(BadParam):
-            QubitSpec(1.0, 1.0)
-
-    def test_settings_for_balanced_qubit(self):
-        theta, phase = QubitSpec(2**-0.5, 2**-0.5).bench_settings()
-        assert theta == pytest.approx(math.pi / 4)
-        assert phase == pytest.approx(0.0)
-
+class TestInputTheta:
     def test_settings_reproduce_weights(self, bench):
-        q = QubitSpec(math.sin(0.4), math.cos(0.4))
-        theta, _ = q.bench_settings()
-        retuned = bench.with_input_theta(theta)
-        # the vacuum amplitude rides the ancilla branch, so the no-Alice-click
-        # (both photons at Bob) weight is |alpha|^2 / 2
+        # the preparation splitter at theta leaves the vacuum amplitude
+        # sin(theta) on the ancilla branch, so the no-Alice-click (both
+        # photons at Bob) weight is sin^2(theta) / 2
+        retuned = bench.with_input_theta(0.4)
         no_click = alice_marginal(retuned, 0.0)[0]
-        assert no_click == pytest.approx(abs(q.alpha) ** 2 / 2, abs=1e-12)
+        assert no_click == pytest.approx(math.sin(0.4) ** 2 / 2, abs=1e-12)

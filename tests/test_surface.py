@@ -1,0 +1,52 @@
+"""Surface audit: every export and every flag has a documented caller.
+
+A new package export must be used by a demo or the README, and a new
+command-line flag must be added to the lists below on purpose.
+"""
+
+import argparse
+import re
+from pathlib import Path
+
+import pytest
+
+import fockbench
+from fockbench.cli import build_parser
+
+ROOT = Path(__file__).parent.parent
+
+OPTIONS = {
+    "run": ["--bench", "--dark-prob", "--delay-m", "--dephasing-sigma", "--input-theta",
+            "--jitter-ns", "--log-events", "--manifest", "--mode", "--ns-per-m", "--out",
+            "--phi-steps", "--qe", "--risetime-ns", "--seed", "--trials"],
+    "analyze": [],
+    "compare": ["--pair-a", "--pair-b", "--pi-tol"],
+    "validate-bench": [],
+    "reproduce-paper": ["--active-visibility", "--bench", "--out", "--passive-visibility",
+                        "--phi-steps", "--seed", "--trials"],
+}
+
+
+def subcommands() -> dict[str, argparse.ArgumentParser]:
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+def test_every_export_has_a_caller():
+    text = "\n".join(p.read_text(encoding="utf-8")
+                     for p in [ROOT / "README.md", *sorted((ROOT / "demos").glob("*.py"))])
+    unused = [name for name in fockbench.__all__ if not re.search(rf"\b{name}\b", text)]
+    assert unused == []
+
+
+@pytest.mark.parametrize("command", OPTIONS)
+def test_subcommand_options(command):
+    parser = subcommands()[command]
+    got = sorted(o for a in parser._actions for o in a.option_strings
+                 if o.startswith("--") and o != "--help")
+    assert got == OPTIONS[command]
+
+
+def test_no_unlisted_subcommand():
+    assert sorted(subcommands()) == sorted(OPTIONS)

@@ -70,12 +70,12 @@ class TestRace:
         assert EOP_MISSED in kinds and EOP_APPLIED not in kinds
 
     def test_hv_ready_invariant(self, rng):
-        t = TimingModel(detector_latency_ns=1.5, jitter_sigma_ns=0.5)
+        t = TimingModel(risetime_ns=23.5, jitter_sigma_ns=0.5)
         for _ in range(50):
             rr = race(2.0, t, 8.0, rng)
             hv = [e for e in rr.log.events if e.kind == HV_READY][0]
             assert hv.t_ns == pytest.approx(rr.hv_ready_ns)
-            assert rr.hv_ready_ns >= 2.0 + 1.5  # click + latency, jitter aside
+            assert rr.hv_ready_ns >= 2.0 + 1.5  # click + 1.5, jitter aside
 
     def test_threshold_flips_exactly_once(self):
         t = TimingModel()
@@ -106,8 +106,8 @@ class TestRace:
 class TestArmingProbability:
     @pytest.mark.parametrize("slack", [-1e-9, 0.0, 1e-9])
     def test_step_matches_race_without_jitter(self, slack):
-        # 8 m at 3 ns/m is 24 ns of flight against latency + risetime = 24 - slack
-        t = TimingModel(risetime_ns=22.5 - slack, detector_latency_ns=1.5)
+        # 8 m at 3 ns/m is 24 ns of flight against a risetime of 24 - slack
+        t = TimingModel(risetime_ns=24.0 - slack)
         armed = race(0.0, t, 8.0).armed_in_time
         assert armed == (slack >= 0)
         assert t.arming_probability(8.0) == float(armed)
