@@ -19,9 +19,12 @@ compile time and never reordered afterwards.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from importlib import resources
+from types import MappingProxyType
+from typing import Mapping
 
 from . import elements as el
 from .elements import Element, ElementKind
@@ -49,15 +52,24 @@ class BenchError(FockbenchError):
         super().__init__("; ".join(str(d) for d in diagnostics))
 
 
-@dataclass(eq=True)
+@dataclass(frozen=True)
 class Bench:
-    """Compiled bench: canonical modes, ordered pipeline, sources, detectors."""
+    """Compiled bench: canonical modes, ordered pipeline, sources, detectors.
+
+    Immutable: the two mappings are stored as read-only copies, so one bench
+    (e.g. the cached builtin) can be shared; derive a changed bench with
+    ``dataclasses.replace``.
+    """
 
     path_names: tuple[str, ...]
     sources: tuple[ModeId, ...]
     pipeline: tuple[Element, ...]
-    detectors: dict[str, ModeId]
-    source_lines: dict[int, int] = field(default_factory=dict, compare=False)
+    detectors: Mapping[str, ModeId]
+    source_lines: Mapping[int, int] = field(default_factory=dict, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "detectors", MappingProxyType(dict(self.detectors)))
+        object.__setattr__(self, "source_lines", MappingProxyType(dict(self.source_lines)))
 
     @property
     def modes(self) -> tuple[ModeId, ...]:
@@ -311,8 +323,9 @@ def validate(bench: Bench) -> list[Diagnostic]:
     return diags
 
 
+@functools.cache
 def builtin_figure1() -> Bench:
-    """The bundled ``figure1.bench`` apparatus.
+    """The bundled ``figure1.bench`` apparatus, parsed once per process.
 
     Topology: two V-polarized photons; one is delocalized over (ka, kb) by a
     50:50 splitter (the nonlocal channel), the other over (ks, kanc) by the

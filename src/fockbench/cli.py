@@ -7,6 +7,7 @@ violation.  Output CSVs are bit-deterministic in (bench bytes, flags, seed).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import replace
@@ -60,6 +61,8 @@ def sparkline(values) -> str:
 
 
 def _with_delay(bench: Bench, delay_m: float) -> Bench:
+    if not any(e.kind is ElementKind.DELAY_LINE for e in bench.pipeline):
+        raise BadParam("--delay-m needs a bench with a delay line")
     return replace(bench, pipeline=tuple(
         delay_line(e.paths[0], delay_m) if e.kind is ElementKind.DELAY_LINE else e
         for e in bench.pipeline
@@ -105,11 +108,15 @@ def _load_manifest(path: str, args: argparse.Namespace) -> None:
     """Set the run flags a manifest records; other keys are skipped.
 
     An empty value stands for None, so only a flag that defaults to None
-    may have one.
+    may have one.  A manifest from another fockbench version is run with a
+    warning.
     """
     text = Path(path).read_text(encoding="utf-8")
     for line in text.splitlines():
         key, sep, val = line.partition("=")
+        if sep and key == "fockbench_version" and val != __version__:
+            print(f"warning: manifest {path} was written by fockbench {val}, "
+                  f"this is {__version__}", file=sys.stderr)
         if not sep or key not in _RUN_FLAGS:
             continue
         kind, default, _ = _RUN_FLAGS[key]
@@ -303,7 +310,12 @@ def cmd_reproduce_paper(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    Parsing leaves no state on it: each ``parse_args`` returns a new namespace.
+    """
     parser = argparse.ArgumentParser(
         prog="fockbench",
         description="vacuum/one-photon qubit teleportation bench simulator",

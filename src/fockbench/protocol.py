@@ -132,13 +132,12 @@ class FringeData:
     trials_total: np.ndarray
 
     def to_csv(self) -> str:
+        counts = [self.counts[pair].tolist() for pair in PAIR_NAMES]
+        kept, total = self.trials_kept.tolist(), self.trials_total.tolist()
         lines = [CSV_HEADER]
         for i, phi in enumerate(self.phi_grid):
-            for pair in PAIR_NAMES:
-                lines.append(
-                    f"{phi:.17g},{pair},{int(self.counts[pair][i])},"
-                    f"{int(self.trials_kept[i])},{int(self.trials_total[i])}"
-                )
+            for pair, c in zip(PAIR_NAMES, counts):
+                lines.append(f"{phi:.17g},{pair},{c[i]},{kept[i]},{total[i]}")
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -159,6 +158,11 @@ class FringeData:
                 phi, c, k, t = float(phi_s), int(c), int(k), int(t)
             except ValueError as exc:
                 raise MalformedInput(f"fringe CSV line {n}: {exc}") from None
+            if not math.isfinite(phi):
+                raise MalformedInput(f"fringe CSV line {n}: phase {phi_s!r} is not finite")
+            if not 0 <= c <= k <= t:
+                raise MalformedInput(f"fringe CSV line {n}: want 0 <= coincidences <= "
+                                     f"trials_kept <= trials_total, got {c}, {k}, {t}")
             if not points or phi != points[-1][0]:
                 points.append((phi, {}, k, t))
             _, counts, kept, total = points[-1]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -209,6 +210,36 @@ class TestInputTheta:
         b = a.with_input_theta(0.3)
         assert a.pipeline[0] == b.pipeline[0]
         assert a.pipeline[3:] == b.pipeline[3:]
+
+
+class TestImmutable:
+    def test_builtin_is_parsed_once(self):
+        assert builtin_figure1() is builtin_figure1()
+        assert load(None) is builtin_figure1()
+
+    def test_fields_cannot_be_assigned(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            builtin_figure1().pipeline = ()
+
+    def test_detectors_are_read_only(self):
+        with pytest.raises(TypeError):
+            builtin_figure1().detectors["X"] = ModeId(0, V)
+
+    def test_bench_keeps_a_copy_of_its_detectors(self):
+        dets = dict(builtin_figure1().detectors)
+        b = Bench(("a",), (), (), dets)
+        dets.clear()
+        assert set(b.detectors) == {"D1", "D2", "D1*", "D2*"}
+
+    def test_derived_benches_leave_the_builtin_alone(self):
+        from fockbench.cli import _with_delay
+
+        b = builtin_figure1()
+        assert b.with_input_theta(0.3) != b
+        assert _with_delay(b, 7.0).delay_m == 7.0
+        assert builtin_figure1() is b
+        assert b == parse(figure1_text())
+        assert b.delay_m == 8.0
 
 
 class TestLoad:

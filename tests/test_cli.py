@@ -3,8 +3,9 @@ from pathlib import Path
 
 import pytest
 
+from fockbench import __version__
 from fockbench.bench import figure1_text
-from fockbench.cli import main, sparkline
+from fockbench.cli import build_parser, main, sparkline
 from fockbench.protocol import PAIR_NAMES
 
 DATA = Path(__file__).parent / "data"
@@ -14,13 +15,15 @@ def run_cli(*argv):
     return main(list(argv))
 
 
-def rerun_with_manifest_value(tmp_path, capsys, key, value):
+def rerun_with_manifest_value(tmp_path, capsys, key, value, *flags):
     """Rerun a small run from its manifest, edited to ``key=value``.
 
-    The run writes to ``tmp_path / "a"``, the rerun to ``tmp_path / "b"``;
-    returns the rerun's exit code and standard error.
+    The run, given the extra ``flags``, writes to ``tmp_path / "a"``, the
+    rerun to ``tmp_path / "b"``; returns the rerun's exit code and standard
+    error.
     """
-    run_cli("run", "--trials", "50", "--phi-steps", "5", "--out", str(tmp_path / "a"))
+    assert run_cli("run", "--trials", "50", "--phi-steps", "5", *flags,
+                   "--out", str(tmp_path / "a")) == 0
     manifest = tmp_path / "a" / "manifest.txt"
     lines = manifest.read_text().splitlines(keepends=True)
     manifest.write_text("".join(f"{key}={value}\n" if line.startswith(f"{key}=") else line
@@ -28,6 +31,13 @@ def rerun_with_manifest_value(tmp_path, capsys, key, value):
     capsys.readouterr()
     code = run_cli("run", "--manifest", str(manifest), "--out", str(tmp_path / "b"))
     return code, capsys.readouterr().err
+
+
+def nodelay_bench(tmp_path):
+    """The builtin bench without its delay line, written to a file."""
+    path = tmp_path / "nodelay.bench"
+    path.write_text(figure1_text().replace("delay bob length_m=8.0\n", "", 1))
+    return path
 
 
 class TestRun:
@@ -38,6 +48,18 @@ class TestRun:
         assert code == 0
         got = (tmp_path / "fringe.csv").read_bytes()
         assert got == (DATA / "golden_run.csv").read_bytes()
+
+    def test_second_in_process_run_matches_golden(self, tmp_path):
+        # the parser and the builtin bench are shared between calls in a process
+        assert run_cli("run", "--mode", "active", "--trials", "50", "--phi-steps", "5",
+                       "--delay-m", "7.0", "--qe", "0.5", "--out", str(tmp_path / "a")) == 0
+        assert run_cli("run", "--mode", "active", "--trials", "1000",
+                       "--phi-steps", "25", "--seed", "7", "--out", str(tmp_path / "b")) == 0
+        got = (tmp_path / "b" / "fringe.csv").read_bytes()
+        assert got == (DATA / "golden_run.csv").read_bytes()
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
 
     def test_writes_manifest(self, tmp_path):
         run_cli("run", "--trials", "50", "--phi-steps", "5", "--out", str(tmp_path))
@@ -151,6 +173,34 @@ class TestRun:
             assert run_cli(*argv) == 3
             err = capsys.readouterr().err
             assert err.startswith("error: protocol needs") and err.count("\n") == 1
+
+    def test_delay_flag_needs_a_delay_line(self, tmp_path, capsys):
+        bench = nodelay_bench(tmp_path)
+        code = run_cli("run", "--bench", str(bench), "--mode", "active", "--delay-m", "7.3",
+                       "--trials", "10", "--phi-steps", "4", "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert capsys.readouterr().err == "error: --delay-m needs a bench with a delay line\n"
+        assert not (tmp_path / "out" / "fringe.csv").exists()
+
+    def test_manifest_delay_needs_a_delay_line(self, tmp_path, capsys):
+        bench = nodelay_bench(tmp_path)
+        code, err = rerun_with_manifest_value(tmp_path, capsys, "delay_m", "7.3",
+                                              "--bench", str(bench))
+        assert code == 3
+        manifest = tmp_path / "a" / "manifest.txt"
+        assert err == f"error: manifest {manifest}: --delay-m needs a bench with a delay line\n"
+        assert not (tmp_path / "b" / "fringe.csv").exists()
+
+    @pytest.mark.parametrize("version", ["0.0.1", __version__])
+    def test_manifest_version_mismatch_warns(self, tmp_path, capsys, version):
+        code, err = rerun_with_manifest_value(tmp_path, capsys, "fockbench_version", version)
+        assert code == 0
+        manifest = tmp_path / "a" / "manifest.txt"
+        assert err == ("" if version == __version__ else
+                       f"warning: manifest {manifest} was written by fockbench {version}, "
+                       f"this is {__version__}\n")
+        assert (tmp_path / "a" / "fringe.csv").read_bytes() == \
+            (tmp_path / "b" / "fringe.csv").read_bytes()
 
     def test_bogus_mode_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as err:
@@ -291,6 +341,27 @@ class TestAnalyze:
         assert run_cli("analyze", str(csv)) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("fields", [
+        lambda phi, pair, c, k, t: (phi, pair, "-1", k, t),
+        lambda phi, pair, c, k, t: (phi, pair, c, str(int(t) + 1), t),
+        lambda phi, pair, c, k, t: (phi, pair, str(int(k) + 1), k, t),
+        lambda phi, pair, c, k, t: ("inf", pair, c, k, t),
+        lambda phi, pair, c, k, t: ("nan", pair, c, k, t),
+    ], ids=["negative-count", "kept-above-total", "count-above-kept", "phi-inf", "phi-nan"])
+    @pytest.mark.parametrize("command", ["analyze", "compare"])
+    def test_impossible_csv_row_exits_3(self, tmp_path, capsys, fields, command):
+        run_cli("run", "--trials", "100", "--phi-steps", "5", "--out", str(tmp_path))
+        csv = tmp_path / "fringe.csv"
+        lines = csv.read_text().splitlines()
+        # the four rows of the first phase, so they still agree with each other
+        lines[1:5] = [",".join(fields(*line.split(","))) for line in lines[1:5]]
+        csv.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        argv = [str(csv)] if command == "analyze" else [str(csv), str(csv)]
+        assert run_cli(command, *argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: fringe CSV line 2: ") and err.count("\n") == 1
 
     def test_kept_disagreeing_within_a_phase_exits_3(self, tmp_path, capsys):
         run_cli("run", "--trials", "100", "--phi-steps", "5", "--out", str(tmp_path))
