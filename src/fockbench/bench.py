@@ -71,7 +71,7 @@ class Bench:
         object.__setattr__(self, "detectors", MappingProxyType(dict(self.detectors)))
         object.__setattr__(self, "source_lines", MappingProxyType(dict(self.source_lines)))
 
-    @property
+    @functools.cached_property
     def modes(self) -> tuple[ModeId, ...]:
         return tuple(
             ModeId(p, pol) for p in range(len(self.path_names)) for pol in (H, V)

@@ -61,8 +61,10 @@ def sparkline(values) -> str:
 
 
 def _with_delay(bench: Bench, delay_m: float) -> Bench:
-    if not any(e.kind is ElementKind.DELAY_LINE for e in bench.pipeline):
-        raise BadParam("--delay-m needs a bench with a delay line")
+    # the race uses the lines' summed length, so one length fits only one line
+    lines = sum(e.kind is ElementKind.DELAY_LINE for e in bench.pipeline)
+    if lines != 1:
+        raise BadParam(f"--delay-m needs a bench with one delay line, got {lines}")
     return replace(bench, pipeline=tuple(
         delay_line(e.paths[0], delay_m) if e.kind is ElementKind.DELAY_LINE else e
         for e in bench.pipeline

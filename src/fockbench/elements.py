@@ -170,30 +170,27 @@ def apply_element(state: FockState, element: Element, armed: bool = False) -> Fo
     return state
 
 
-def single_photon_matrix(element: Element, modes: tuple[ModeId, ...]) -> np.ndarray:
-    """Creation-operator transfer matrix of this element on the full mode set.
+def transfer_matrix(elements, modes: tuple[ModeId, ...]) -> np.ndarray:
+    """Creation-operator transfer matrix of a run of elements on ``modes``.
 
-    Rows are input modes, columns output modes; composing a pipeline is the
-    left-to-right matrix product.  A Pockels cell has no actions, so its
-    matrix is the identity: its sigma_z is decided per trial.
+    Rows are input modes, columns output modes, so composing is the
+    left-to-right product; each action updates in place only the columns it
+    touches, starting from one identity.  A Pockels cell has no actions, so
+    it leaves the matrix unchanged: its sigma_z is decided per trial.
     """
-    n = len(modes)
     idx = {m: i for i, m in enumerate(modes)}
-    mat = np.eye(n, dtype=complex)
-    for act in element.actions:
-        step = np.eye(n, dtype=complex)
-        if act.kind == "u2":
-            i1, i2 = idx[act.modes[0]], idx[act.modes[1]]
-            (a, b), (c, d) = act.matrix
-            step[i1, i1], step[i1, i2] = a, b
-            step[i2, i1], step[i2, i2] = c, d
-        elif act.kind == "phase":
-            i = idx[act.modes[0]]
-            step[i, i] = cmath.exp(1j * act.matrix[0])
-        elif act.kind == "perm":
-            for src, dst in act.mapping:
-                step[idx[src], idx[src]] = 0.0
-            for src, dst in act.mapping:
-                step[idx[src], idx[dst]] = 1.0
-        mat = mat @ step
+    mat = np.eye(len(modes), dtype=complex)
+    for e in elements:
+        for act in e.actions:
+            if act.kind == "u2":
+                i1, i2 = idx[act.modes[0]], idx[act.modes[1]]
+                (a, b), (c, d) = act.matrix
+                c1, c2 = mat[:, i1], mat[:, i2]
+                mat[:, i1], mat[:, i2] = a * c1 + c * c2, b * c1 + d * c2
+            elif act.kind == "phase":
+                mat[:, idx[act.modes[0]]] *= cmath.exp(1j * act.matrix[0])
+            elif act.kind == "perm":
+                src = [idx[m] for m, _ in act.mapping]
+                dst = [idx[m] for _, m in act.mapping]
+                mat[:, dst] = mat[:, src]
     return mat

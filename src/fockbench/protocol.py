@@ -7,13 +7,14 @@ Alice click with no Bob click) are discarded the way the bench's coincidence
 circuit discards them.
 
 The bench upstream of the detectors is linear optics on two photons, so one
-engine composes its single-photon transfer matrices once, and every
-two-photon amplitude is a 2x2 permanent of them.  Summed over the modes of
-each detector class, the permanents' squares reduce to products of small
-per-class Gram matrices of the photons' amplitudes.  ``click_tables`` turns
-these into the exact (Alice, Bob) click-pattern tables of every phase of a
-grid, with the cell disarmed and fired, averaging the dephasing phase and
-the detectors (``noise.click_table``) in closed form.  ``run_sweep`` mixes
+engine composes its single-photon transfer matrices once, updating the
+columns each element touches in place (``elements.transfer_matrix``), and
+every two-photon amplitude is a 2x2 permanent of them.  Summed over the
+modes of each detector class, the permanents' squares reduce to products of
+small per-class Gram matrices of the photons' amplitudes.  ``click_tables``
+turns these into the exact (Alice, Bob) click-pattern tables of every phase
+of a grid, with the cell disarmed and fired, averaging the dephasing phase
+and the detectors (``noise.click_table``) in closed form.  ``run_sweep`` mixes
 the two tables by the race's arming probability (``timing``) in
 ``outcome_distribution`` and draws the whole grid in one multinomial call
 on one stream: the cost of a sweep does not grow with the trial count.
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import fock
 from .bench import Bench
-from .elements import ElementKind, apply_element, phase_shifter, single_photon_matrix
+from .elements import ElementKind, apply_element, phase_shifter, transfer_matrix
 from .errors import BadParam, MalformedInput, ProtocolError
 from .fock import FockState, ModeId, Polarization
 from .noise import ClickPattern, NoiseModel, click_table
@@ -281,29 +282,25 @@ class _TransferEngine:
     single-photon matrix (rows: input modes, columns: output modes; see S.
     Scheel, quant-ph/0406127).  The knob phase is the only part of that
     matrix that varies across a sweep, so the matrices before the knob,
-    from the knob to the Pockels cell and after the cell are composed once.
+    from the knob to the Pockels cell and after the cell are each composed
+    once, by ``elements.transfer_matrix``: one identity per slice whose
+    columns every splitter, phase and mode permutation updates in place.
     """
 
     def __init__(self, bench: Bench):
         self.bench = bench
         eop = _require_protocol_bench(bench)
         knob = bench.knob_index
-        modes = bench.modes
+        modes, pipeline = bench.modes, bench.pipeline
         idx = {m: i for i, m in enumerate(modes)}
         sources = [idx[m] for m in bench.sources]
 
-        def compose(elements) -> np.ndarray:
-            mat = np.eye(len(modes), dtype=complex)
-            for e in elements:
-                mat = mat @ single_photon_matrix(e, modes)
-            return mat
-
-        self.before_knob = compose(bench.pipeline[:knob])[sources]  # (2, n)
-        knob_path = bench.pipeline[knob].paths[0]
+        self.before_knob = transfer_matrix(pipeline[:knob], modes)[sources]  # (2, n)
+        knob_path = pipeline[knob].paths[0]
         self.knob_modes = np.array([float(m.path == knob_path) for m in modes])
-        self.to_cell = compose(bench.pipeline[knob + 1 : eop])
-        self.after_cell = compose(bench.pipeline[eop + 1 :])
-        self.channel = idx[ModeId(bench.pipeline[eop].paths[0], Polarization.V)]
+        self.to_cell = transfer_matrix(pipeline[knob + 1 : eop], modes)
+        self.after_cell = transfer_matrix(pipeline[eop + 1 :], modes)
+        self.channel = idx[ModeId(pipeline[eop].paths[0], Polarization.V)]
 
         # (n, 5) one-hot detector class of each mode, ordered as _CLASS_COUNTS
         protocol_modes = [bench.detectors[d] for d in ALICE_DETECTORS + BOB_DETECTORS]

@@ -1,10 +1,10 @@
 """Independent brute-force amplitude oracle for linear-optics checks.
 
-Composes a pipeline's single-photon transfer matrix from the same
-per-element matrices the protocol engine uses
-(``elements.single_photon_matrix``) and derives every multi-photon amplitude
-from a matrix permanent, never touching the Fock-state expansion of
-``fock.apply_two_mode_unitary``:
+Composes a pipeline's single-photon transfer matrix as the product of its
+per-element matrices (``elements.transfer_matrix`` of one element each, so
+the association order differs from the engine's single pass over a slice)
+and derives every multi-photon amplitude from a matrix permanent, never
+touching the Fock-state expansion of ``fock.apply_two_mode_unitary``:
 
     <out| U |in> = perm(B) / sqrt(prod(in!) * prod(out!))
 
@@ -16,7 +16,7 @@ from itertools import permutations
 
 import numpy as np
 
-from fockbench.elements import single_photon_matrix
+from fockbench.elements import transfer_matrix
 
 
 def permanent(mat: np.ndarray) -> complex:
@@ -34,10 +34,10 @@ def permanent(mat: np.ndarray) -> complex:
 
 
 def composed_matrix(pipeline, modes) -> np.ndarray:
-    """The production per-element matrices, multiplied left to right."""
+    """The per-element transfer matrices, multiplied left to right."""
     mat = np.eye(len(modes), dtype=complex)
     for e in pipeline:
-        mat = mat @ single_photon_matrix(e, modes)
+        mat = mat @ transfer_matrix((e,), modes)
     return mat
 
 

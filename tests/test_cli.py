@@ -33,10 +33,12 @@ def rerun_with_manifest_value(tmp_path, capsys, key, value, *flags):
     return code, capsys.readouterr().err
 
 
-def nodelay_bench(tmp_path):
-    """The builtin bench without its delay line, written to a file."""
-    path = tmp_path / "nodelay.bench"
-    path.write_text(figure1_text().replace("delay bob length_m=8.0\n", "", 1))
+def split_delay_bench(tmp_path, lines):
+    """The builtin bench with its 8 m delay line split into ``lines`` equal
+    lines (none for 0), written to a file."""
+    path = tmp_path / f"delay{lines}.bench"
+    split = f"delay bob length_m={8.0 / lines!r}\n" * lines if lines else ""
+    path.write_text(figure1_text().replace("delay bob length_m=8.0\n", split, 1))
     return path
 
 
@@ -174,21 +176,26 @@ class TestRun:
             err = capsys.readouterr().err
             assert err.startswith("error: protocol needs") and err.count("\n") == 1
 
-    def test_delay_flag_needs_a_delay_line(self, tmp_path, capsys):
-        bench = nodelay_bench(tmp_path)
+    # with two lines the race would run on twice the --delay-m length
+    @pytest.mark.parametrize("lines", [0, 2])
+    def test_delay_flag_needs_a_delay_line(self, tmp_path, capsys, lines):
+        bench = split_delay_bench(tmp_path, lines)
         code = run_cli("run", "--bench", str(bench), "--mode", "active", "--delay-m", "7.3",
                        "--trials", "10", "--phi-steps", "4", "--out", str(tmp_path / "out"))
         assert code == 2
-        assert capsys.readouterr().err == "error: --delay-m needs a bench with a delay line\n"
+        assert capsys.readouterr().err == \
+            f"error: --delay-m needs a bench with one delay line, got {lines}\n"
         assert not (tmp_path / "out" / "fringe.csv").exists()
 
-    def test_manifest_delay_needs_a_delay_line(self, tmp_path, capsys):
-        bench = nodelay_bench(tmp_path)
+    @pytest.mark.parametrize("lines", [0, 2])
+    def test_manifest_delay_needs_a_delay_line(self, tmp_path, capsys, lines):
+        bench = split_delay_bench(tmp_path, lines)
         code, err = rerun_with_manifest_value(tmp_path, capsys, "delay_m", "7.3",
                                               "--bench", str(bench))
         assert code == 3
         manifest = tmp_path / "a" / "manifest.txt"
-        assert err == f"error: manifest {manifest}: --delay-m needs a bench with a delay line\n"
+        assert err == (f"error: manifest {manifest}: --delay-m needs a bench with one "
+                       f"delay line, got {lines}\n")
         assert not (tmp_path / "b" / "fringe.csv").exists()
 
     @pytest.mark.parametrize("version", ["0.0.1", __version__])

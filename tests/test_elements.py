@@ -12,7 +12,7 @@ from fockbench.elements import (
     delay_line,
     polarizing_bs,
     quarter_wave_plate,
-    single_photon_matrix,
+    transfer_matrix,
 )
 from fockbench.errors import BadParam, BadWiring, PolarizationMismatch
 from fockbench.fock import (
@@ -151,7 +151,7 @@ class TestPolarizingBs:
         out = apply_element(st, polarizing_bs(0, 1, 2, 3))
         # against the mode-permutation oracle
         want = oracle = {}
-        mat = single_photon_matrix(polarizing_bs(0, 1, 2, 3), m)
+        mat = transfer_matrix((polarizing_bs(0, 1, 2, 3),), m)
         ih, iv = m.index(ModeId(0, H)), m.index(ModeId(0, V))
         for occ, amp in st.amplitudes.items():
             src = occ.index(1)
@@ -240,5 +240,5 @@ class TestElementUnitarity:
     def test_every_figure1_element_is_unitary(self, bench):
         eye = np.eye(len(bench.modes))
         for e in bench.pipeline:
-            mat = single_photon_matrix(e, bench.modes)
+            mat = transfer_matrix((e,), bench.modes)
             assert np.max(np.abs(mat.conj().T @ mat - eye)) < 1e-10

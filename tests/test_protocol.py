@@ -1,10 +1,12 @@
 import math
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fockbench.elements import transfer_matrix
 from fockbench.errors import BadParam, ProtocolError
 from fockbench.noise import ClickPattern, NoiseModel
 from fockbench.protocol import (
@@ -24,6 +26,10 @@ from fockbench.protocol import (
     run_trial,
 )
 from fockbench.timing import TimingModel
+
+from oracle_util import composed_matrix
+
+DATA = Path(__file__).parent / "data"
 
 # every noise source on: 45% detectors, dark counts, dephasing and a jittered
 # race whose 23.5 ns risetime arms the cell with probability
@@ -511,6 +517,26 @@ class TestOutcomeDistribution:
 
         peak(1000)  # first-call allocations
         assert abs(peak(10**8) - peak(10**3)) <= 64 * 1024
+
+    def test_matches_the_frozen_table(self, bench):
+        # frozen from an earlier engine: a faster engine may sum in another
+        # order and move the tables by ULPs, but by no more
+        cfg = RunConfig(mode=RunMode.ACTIVE, noise=FULL_NOISE,
+                        timing=TimingModel(jitter_sigma_ns=1.5))
+        want = np.loadtxt(DATA / "outcome_distribution.txt").reshape(-1, 4, 4)
+        got = outcome_distribution(_TransferEngine(bench), cfg)
+        assert np.abs(got - want).max() <= 1e-14
+
+
+@pytest.mark.parametrize("which", ["builtin", *GENERATED])
+def test_transfer_matrix_of_every_slice_is_the_per_element_product(bench, which):
+    pipeline, modes = protocol_bench(which, bench).pipeline, bench.modes
+    eye = np.eye(len(modes))
+    for i in range(len(pipeline)):
+        for j in range(i, len(pipeline) + 1):
+            mat = transfer_matrix(pipeline[i:j], modes)
+            assert np.abs(mat - composed_matrix(pipeline[i:j], modes)).max() <= 1e-14
+            assert np.abs(mat @ mat.conj().T - eye).max() <= 1e-14
 
 
 class TestConfig:
