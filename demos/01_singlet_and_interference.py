@@ -10,7 +10,6 @@ entangled state of two such qubits.
 import math
 
 from fockbench import (
-    EopConfig,
     ModeId,
     Polarization,
     apply_eop,
@@ -50,8 +49,8 @@ print("  -> the |1,1> amplitude cancels; only |2,0> and |0,2> survive\n")
 # 3: the Pockels cell is sigma_z on the vacuum/one-photon qubit
 qubit = make_vacuum([ka])._replace({(0,): 0.6, (1,): 0.8})
 show("qubit 0.6|0> + 0.8|1>", qubit)
-flipped = apply_eop(qubit, EopConfig(armed=True), ka)
+flipped = apply_eop(qubit, ka)
 show("armed cell (sigma_z)", flipped)
-back = apply_eop(flipped, EopConfig(armed=True), ka)
+back = apply_eop(flipped, ka)
 show("armed twice", back)
 print("  -> sigma_z^2 = 1, which is why one cell suffices to undo the flip")

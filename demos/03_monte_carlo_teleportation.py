@@ -1,11 +1,11 @@
 """Shot-by-shot teleportation trials, then full fringe sweeps in all
 three operating modes.
 
-Each trial: draw Alice's click pattern from the exact click tables, classify
-the Bell outcome, race the feed-forward electronics against the delay line,
-conditionally flip the sign, then draw Bob's pattern given Alice's.  The
-sweep draws 100 000 such trials per phase point at once, from their exact
-outcome distribution, and the fits show the
+Each trial: draw Alice's click pattern from the exact click tables, read
+the Bell outcome it heralds, race the feed-forward electronics against the
+delay line after a lone D2 click, conditionally flip the sign, then draw
+Bob's pattern given Alice's.  The sweep draws 100 000 such trials per phase
+point at once, from their exact outcome distribution, and the fits show the
 sigma_z story: the inhibited D2 fringe sits pi out of phase with the
 passive D1 fringe, and arming the cell snaps it back.
 """

@@ -11,11 +11,11 @@ import math
 
 import numpy as np
 
-from fockbench import TimingModel, effective_correction, race
+from fockbench import TimingModel, race
 from fockbench.cli import sparkline
 
 # 1: the stock bench makes the deadline with 2 ns to spare
-rr = race(0.0, TimingModel(), 8.0)
+rr = race(TimingModel(), 8.0)
 print("stock bench event log:")
 for e in rr.log.events:
     print(f"  {e.t_ns:7.2f} ns  {e.kind:13s} {e.detail}")
@@ -23,28 +23,21 @@ print(f"armed in time: {rr.armed_in_time}\n")
 
 # 2: sweep the delay-line length across the threshold
 lengths = np.linspace(5.0, 10.0, 26)
-armed = [race(0.0, TimingModel(), L).armed_in_time for L in lengths]
+armed = [race(TimingModel(), L).armed_in_time for L in lengths]
 marks = "".join("#" if a else "." for a in armed)
 print(f"delay 5 m .. 10 m, armed (#) vs missed (.): {marks}")
 threshold = lengths[armed.index(True)]
 print(f"first length that wins the race: {threshold:.1f} m "
       f"(= risetime / calibration = {22.0 / 3.0:.2f} m)\n")
 
-# 3: the correction logic itself
-for trigger in ("D1", "D2", None):
-    for ok in (True, False):
-        fired = effective_correction(trigger, ok)
-        print(f"  trigger={str(trigger):4s} armed={ok!s:5s} -> sigma_z fired: {fired}")
-print("  (D1 outcomes are already exact copies, so only D2 ever fires)\n")
-
-# 4: jitter smears the threshold into a Gaussian miss curve
+# 3: jitter smears the threshold into a Gaussian miss curve
 rng = np.random.default_rng(0)
 sigmas = [0.5, 1.0, 2.0, 3.0, 5.0]
 n = 20_000
 rates = []
 for s in sigmas:
     t = TimingModel(jitter_sigma_ns=s)
-    misses = sum(not race(0.0, t, 8.0, rng).armed_in_time for _ in range(n))
+    misses = sum(not race(t, 8.0, rng).armed_in_time for _ in range(n))
     z = (24.0 - 22.0) / s
     expect = 1.0 - 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
     rates.append(misses / n)

@@ -9,10 +9,10 @@ and fidelity figures.
 """
 
 from .fock import ModeId, Polarization, apply_two_mode_unitary, create_photon, make_vacuum
-from .elements import EopConfig, apply_eop
+from .elements import apply_eop
 from .bench import builtin_figure1
 from .noise import calibrate_sigma
-from .timing import TimingModel, effective_correction, race
+from .timing import TimingModel, race
 from .protocol import (
     RunConfig,
     RunMode,
@@ -35,13 +35,11 @@ __all__ = [
     "make_vacuum",
     "create_photon",
     "apply_two_mode_unitary",
-    "EopConfig",
     "apply_eop",
     "builtin_figure1",
     "calibrate_sigma",
     "TimingModel",
     "race",
-    "effective_correction",
     "RunMode",
     "RunConfig",
     "run_trial",

@@ -131,24 +131,14 @@ def delay_line(path: int, length_m: float) -> Element:
     return Element(ElementKind.DELAY_LINE, (path,), (length_m,))
 
 
-@dataclass(frozen=True)
-class EopConfig:
-    """Pockels-cell drive: whether the cell is armed."""
-
-    armed: bool = False
-
-
-def apply_eop(state: FockState, config: EopConfig, mode_v: ModeId) -> FockState:
-    """sigma_z on the vacuum/one-photon qubit of ``mode_v`` when armed.
+def apply_eop(state: FockState, mode_v: ModeId) -> FockState:
+    """The armed Pockels cell: sigma_z on the vacuum/one-photon qubit of ``mode_v``.
 
     The pi phase is applied as an exact (-1)**n sign so that arming twice
     returns the input bit-for-bit; H-polarized amplitudes are untouched.
     """
     if mode_v.pol is not V:
         raise PolarizationMismatch(f"Pockels cell acts on V modes, got {mode_v}")
-    state.index_of(mode_v)
-    if not config.armed:
-        return state
     i = state.index_of(mode_v)
     out = {
         occ: (-amp if occ[i] % 2 else amp) for occ, amp in state.amplitudes.items()
@@ -157,9 +147,9 @@ def apply_eop(state: FockState, config: EopConfig, mode_v: ModeId) -> FockState:
 
 
 def apply_element(state: FockState, element: Element, armed: bool = False) -> FockState:
-    """Run one element; ``armed`` is only consulted by the Pockels cell."""
+    """Run one element; a Pockels cell acts only when ``armed``."""
     if element.kind is ElementKind.POCKELS_CELL:
-        return apply_eop(state, EopConfig(armed=armed), ModeId(element.paths[0], V))
+        return apply_eop(state, ModeId(element.paths[0], V)) if armed else state
     for act in element.actions:
         if act.kind == "u2":
             state = fock.apply_two_mode_unitary(state, act.modes[0], act.modes[1], act.matrix)

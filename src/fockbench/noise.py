@@ -49,10 +49,6 @@ class ClickPattern:
     def clicked(self) -> list[str]:
         return [name for name, hit in self.clicks.items() if hit]
 
-    def exactly_one(self) -> str | None:
-        hits = self.clicked()
-        return hits[0] if len(hits) == 1 else None
-
 
 def click_table(noise: NoiseModel) -> np.ndarray:
     """(9, 4) click-pattern probabilities of a detector pair per photon count.

@@ -38,7 +38,7 @@ from .elements import ElementKind, apply_element, phase_shifter, transfer_matrix
 from .errors import BadParam, MalformedInput, ProtocolError
 from .fock import FockState, ModeId, Polarization
 from .noise import ClickPattern, NoiseModel, click_table
-from .timing import EventLog, RaceResult, TimingModel, effective_correction, race
+from .timing import ALICE_CLICK, PHOTON_EMITTED, EventLog, TimingModel, race
 
 ALICE_DETECTORS = ("D1", "D2")
 BOB_DETECTORS = ("D1*", "D2*")
@@ -55,7 +55,7 @@ class RunMode(Enum):
     def parse(cls, text: str) -> "RunMode":
         norm = text.replace("-", "_").lower()
         for m in cls:
-            if norm in (m.value, m.name.lower(), m.value.replace("_eop", "")):
+            if norm in (m.value, m.name.lower()):
                 return m
         raise BadParam(f"unknown run mode {text!r}")
 
@@ -71,21 +71,15 @@ class BellOutcome(Enum):
         return self in (BellOutcome.PSI1_IDLE, BellOutcome.PSI2_IDLE)
 
 
-def classify(alice: ClickPattern) -> BellOutcome:
-    """Bell outcome from Alice's click pattern alone.
-
-    Exactly one click identifies the one-photon Bell states (D1 -> Psi3,
-    D2 -> Psi4); anything else is an unidentifiable idle outcome.
-    """
-    d1 = alice.clicks.get("D1", False)
-    d2 = alice.clicks.get("D2", False)
-    if d1 and not d2:
-        return BellOutcome.PSI3
-    if d2 and not d1:
-        return BellOutcome.PSI4
-    if d1 and d2:
-        return BellOutcome.PSI2_IDLE
-    return BellOutcome.PSI1_IDLE
+#: Alice's click pattern click(D1) + 2 click(D2) -> the Bell outcome it
+#: heralds: a lone D1 click is Psi3, a lone D2 click Psi4, and no click or
+#: two clicks cannot tell the one-photon Bell states apart
+ALICE_PATTERNS = (BellOutcome.PSI1_IDLE, BellOutcome.PSI3, BellOutcome.PSI4,
+                  BellOutcome.PSI2_IDLE)
+#: the patterns the coincidence circuit keeps: exactly one Alice click
+KEPT_PATTERNS = tuple(p for p, bell in enumerate(ALICE_PATTERNS) if not bell.idle)
+#: only a lone D2 click (Psi4) fires the Pockels cell
+FIRING_PATTERN = ALICE_PATTERNS.index(BellOutcome.PSI4)
 
 
 def default_phi_grid(steps: int = 25) -> tuple[float, ...]:
@@ -105,8 +99,10 @@ class RunConfig:
     timing: TimingModel = TimingModel()
 
     def __post_init__(self):
-        if self.trials_per_phi < 1:
-            raise BadParam("trials_per_phi must be >= 1")
+        # the sweep's multinomial draw counts in int64
+        if not 1 <= self.trials_per_phi <= np.iinfo(np.int64).max:
+            raise BadParam(f"trials_per_phi must be in [1, 2**63 - 1], "
+                           f"got {self.trials_per_phi}")
         if len(self.phi_grid) == 0:
             raise BadParam("phi_grid is empty")
         object.__setattr__(self, "phi_grid", tuple(float(p) for p in self.phi_grid))
@@ -359,15 +355,15 @@ def outcome_distribution(eng: _TransferEngine, cfg: RunConfig) -> np.ndarray:
     each phase of ``cfg.phi_grid``, indexed as in ``click_tables``.
 
     The jittered race is averaged out too.  The coincidence circuit keeps
-    rows 1-2 (exactly one Alice click: the D1 or D2 trigger) and columns 1-3
-    (any Bob click).
+    the rows ``KEPT_PATTERNS`` (exactly one Alice click: the D1 or D2
+    trigger) and columns 1-3 (any Bob click).
     """
     p_arm = 0.0
     if cfg.mode is RunMode.ACTIVE:
         p_arm = cfg.timing.arming_probability(eng.bench.delay_m)
     unfired, fired = click_tables(eng, cfg.phi_grid, cfg.noise)
-    # only a lone D2 trigger (row 2) fires the cell
-    unfired[:, 2] += p_arm * (fired[:, 2] - unfired[:, 2])
+    row = FIRING_PATTERN
+    unfired[:, row] += p_arm * (fired[:, row] - unfired[:, row])
     return unfired
 
 
@@ -393,37 +389,32 @@ def run_trial(
 
     # Alice's Bell measurement
     alice = _draw(np.cumsum(unfired.sum(axis=1)), rng.random())
+    bell = ALICE_PATTERNS[alice]
     alice_clicks = _clicks(ALICE_DETECTORS, alice, 0.0)
-    bell = classify(alice_clicks)
-    trigger = alice_clicks.exactly_one()
-
-    # feed-forward race, only meaningful when the chain can fire
     log = EventLog()
-    log.add(0.0, "PhotonEmitted")
-    for name, t in sorted(alice_clicks.timestamps_ns.items()):
-        log.add(t, "AliceClick", name)
-    armed = False
+    log.add(0.0, PHOTON_EMITTED)
+    for name in alice_clicks.clicked():
+        log.add(0.0, ALICE_CLICK, name)
+
+    # feed-forward race, only run when the chain can fire
     fired = False
-    if cfg.mode is RunMode.ACTIVE and trigger == "D2":
-        rr: RaceResult = race(0.0, cfg.timing, bench.delay_m, rng)
+    if cfg.mode is RunMode.ACTIVE and alice == FIRING_PATTERN:
+        rr = race(cfg.timing, bench.delay_m, rng)
         for event in rr.log.events:
-            if event.kind not in ("PhotonEmitted", "AliceClick"):
+            if event.kind not in (PHOTON_EMITTED, ALICE_CLICK):
                 log.add(event.t_ns, event.kind, event.detail)
         log = log.sorted()
-        armed = rr.armed_in_time
-        fired = effective_correction(trigger, armed)
+        fired = rr.armed_in_time
 
     # Bob's side given Alice's pattern, after the conditional sigma_z
     bob = _draw(np.cumsum((fired_table if fired else unfired)[alice]), rng.random())
     bob_clicks = _clicks(BOB_DETECTORS, bob, bench.delay_m * cfg.timing.delay_ns_per_m)
 
     # the coincidence circuit also discards Alice clicks without a Bob click
-    if not bell.idle and not any(bob_clicks.clicks.values()):
+    if not bell.idle and bob == 0:
         bell = BellOutcome.PSI2_IDLE
         fired = False
-    corrected = fired and bell is BellOutcome.PSI4
-    return TrialRecord(phi, bell, alice_clicks, bob_clicks, corrected,
-                       bell.idle, log)
+    return TrialRecord(phi, bell, alice_clicks, bob_clicks, fired, bell.idle, log)
 
 
 def run_sweep(
@@ -445,7 +436,7 @@ def run_sweep(
     grid = cfg.phi_grid
     tables = outcome_distribution(_TransferEngine(bench), cfg)
     # (D1, D2 trigger) x (Bob D1* only, D2* only, both), then discarded
-    cells = np.maximum(tables[:, 1:3, 1:], 0.0).reshape(len(grid), 6)
+    cells = np.maximum(tables[:, KEPT_PATTERNS, 1:], 0.0).reshape(len(grid), 6)
     ps = np.concatenate([cells, 1.0 - cells.sum(axis=1, keepdims=True)], axis=1)
     rng = np.random.Generator(np.random.PCG64(seed))
     draws = rng.multinomial(cfg.trials_per_phi, ps)[:, :-1].reshape(len(grid), 2, 3)

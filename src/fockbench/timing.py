@@ -82,30 +82,26 @@ class RaceResult:
 
 
 def race(
-    click_time_ns: float,
-    timing: TimingModel,
-    delay_length_m: float,
-    rng: np.random.Generator | None = None,
+    timing: TimingModel, delay_length_m: float, rng: np.random.Generator | None = None
 ) -> RaceResult:
     """Race the HV chain against the photon's flight down the delay line.
 
-    The photon is emitted at t = 0.  armed_in_time iff click + risetime +
-    jitter <= length * ns_per_m.  The log records every event in time order.
+    The photon is emitted, and Alice's detector clicks, at t = 0.
+    armed_in_time iff risetime + jitter <= length * ns_per_m.  The log
+    records every event in time order.
     """
-    if click_time_ns < 0:
-        raise BadParam("click time must be >= 0")
     jitter = 0.0
     if timing.jitter_sigma_ns > 0:
         if rng is None:
             raise BadParam("jittered race needs an rng")
         jitter = float(rng.normal(0.0, timing.jitter_sigma_ns))
-    hv_ready = click_time_ns + timing.risetime_ns + jitter
+    hv_ready = timing.risetime_ns + jitter
     photon_at_eop = delay_length_m * timing.delay_ns_per_m
     armed = hv_ready <= photon_at_eop
 
     log = EventLog()
     log.add(0.0, PHOTON_EMITTED)
-    log.add(click_time_ns, ALICE_CLICK)
+    log.add(0.0, ALICE_CLICK)
     log.add(hv_ready, HV_READY, f"jitter={jitter:.3f}")
     log.add(photon_at_eop, PHOTON_AT_EOP)
     if armed:
@@ -114,13 +110,3 @@ def race(
         log.add(hv_ready, EOP_MISSED, f"late by {hv_ready - photon_at_eop:.3f} ns")
     return RaceResult(armed, hv_ready, photon_at_eop, log.sorted())
 
-
-def effective_correction(trigger: str | None, armed_in_time: bool) -> bool:
-    """sigma_z fires only for a D2 trigger that met the deadline.
-
-    A D1 click needs no correction (the teleported copy is already exact);
-    no trigger means an idle event.
-    """
-    if trigger not in (None, "none", "D1", "D2"):
-        raise BadParam(f"trigger must be D1, D2 or none, got {trigger!r}")
-    return trigger == "D2" and armed_in_time

@@ -12,7 +12,7 @@ import pytest
 
 from fockbench.analysis import error_propagation, fidelity_from_visibility, fit_fringe, wrap_phase
 from fockbench.bench import builtin_figure1
-from fockbench.elements import EopConfig, apply_eop
+from fockbench.elements import apply_eop
 from fockbench.fock import (
     ModeId,
     Polarization,
@@ -141,12 +141,12 @@ def test_criterion_4_headline_fidelity_figures(bench):
 
 
 def test_criterion_5_timing_race():
-    rr_stock = race(0.0, TimingModel(), 8.0)
-    rr_short = race(0.0, TimingModel(), 7.0)
+    rr_stock = race(TimingModel(), 8.0)
+    rr_short = race(TimingModel(), 7.0)
     rng = np.random.default_rng(SEED)
     timing = TimingModel(jitter_sigma_ns=3.0)
     n = 100_000
-    misses = sum(not race(0.0, timing, 8.0, rng).armed_in_time for _ in range(n))
+    misses = sum(not race(timing, 8.0, rng).armed_in_time for _ in range(n))
     z = (24.0 - 22.0) / 3.0
     want = 1.0 - 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
     gap = abs(misses / n - want)
@@ -192,8 +192,7 @@ def test_criterion_7_property_suites(bench):
 
     # sigma_z twice is bit-exact identity
     qubit = make_vacuum([ModeId(0, V)])._replace({(0,): 0.6 + 0j, (1,): 0.8j})
-    twice = apply_eop(apply_eop(qubit, EopConfig(armed=True), ModeId(0, V)),
-                      EopConfig(armed=True), ModeId(0, V))
+    twice = apply_eop(apply_eop(qubit, ModeId(0, V)), ModeId(0, V))
     sigma_ok = twice.amplitudes == qubit.amplitudes
 
     # post-selection soundness at unit efficiency

@@ -102,7 +102,8 @@ class TestRun:
                                        ("--jitter-ns", "-1"), ("--delay-m", "nan"),
                                        ("--delay-m", "inf"), ("--risetime-ns", "nan"),
                                        ("--ns-per-m", "inf"), ("--dephasing-sigma", "nan"),
-                                       ("--jitter-ns", "nan"), ("--seed", "-1")])
+                                       ("--jitter-ns", "nan"), ("--seed", "-1"),
+                                       ("--trials", str(2**63))])
     def test_out_of_range_parameter_exits_2(self, tmp_path, capsys, flags):
         code = run_cli("run", *flags, "--phi-steps", "5", "--out", str(tmp_path))
         assert code == 2
@@ -123,7 +124,7 @@ class TestRun:
     @pytest.mark.parametrize("key, value", [("qe", "1.5"), ("trials", "0"),
                                             ("jitter_ns", "-1"), ("phi_steps", "3"),
                                             ("delay_m", "nan"), ("input_theta", "9.9"),
-                                            ("seed", "-1")])
+                                            ("seed", "-1"), ("trials", str(2**63))])
     def test_out_of_range_manifest_value_exits_3(self, tmp_path, capsys, key, value):
         # the same values given as flags are usage errors (exit 2)
         code, err = rerun_with_manifest_value(tmp_path, capsys, key, value)
@@ -441,8 +442,26 @@ class TestValidateBench:
         out = capsys.readouterr().out
         assert "undeclared-path" in out
 
-    def test_missing_file(self, tmp_path):
+    def test_missing_file(self, tmp_path, capsys):
         assert run_cli("validate-bench", str(tmp_path / "nope.bench")) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("validate-bench", "{f}"),
+    ("run", "--bench", "{f}", "--out", "{out}"),
+    ("run", "--manifest", "{f}", "--out", "{out}"),
+    ("analyze", "{f}"),
+    ("compare", "{f}", "{f}"),
+])
+def test_non_utf8_input_file_exits_3(tmp_path, capsys, argv):
+    f = tmp_path / "utf16.txt"
+    f.write_bytes("\ufeffpath a\n".encode("utf-16-le"))  # starts with ff fe
+    assert run_cli(*(a.format(f=f, out=tmp_path / "out") for a in argv)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 class TestReproducePaper:

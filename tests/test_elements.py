@@ -5,11 +5,11 @@ import pytest
 
 from fockbench import elements as el
 from fockbench.elements import (
-    EopConfig,
     apply_element,
     apply_eop,
     beam_splitter,
     delay_line,
+    pockels_cell,
     polarizing_bs,
     quarter_wave_plate,
     transfer_matrix,
@@ -78,31 +78,31 @@ class TestEop:
 
     def test_armed_is_sigma_z(self):
         st, alpha, beta = self.qubit()
-        out = apply_eop(st, EopConfig(armed=True), ModeId(0, V))
+        out = apply_eop(st, ModeId(0, V))
         assert out.amplitude((0, 0)) == pytest.approx(alpha)
         assert out.amplitude((0, 1)) == pytest.approx(-beta)
 
     def test_armed_twice_is_identity_bit_exact(self):
         st, _, _ = self.qubit()
-        out = apply_eop(st, EopConfig(armed=True), ModeId(0, V))
-        out = apply_eop(out, EopConfig(armed=True), ModeId(0, V))
+        out = apply_eop(st, ModeId(0, V))
+        out = apply_eop(out, ModeId(0, V))
         assert out.amplitudes == st.amplitudes
 
     def test_disarmed_is_identity(self):
         st, _, _ = self.qubit()
-        out = apply_eop(st, EopConfig(armed=False), ModeId(0, V))
+        out = apply_element(st, pockels_cell(0), armed=False)
         assert out.amplitudes == st.amplitudes
 
     def test_h_mode_rejected(self):
         st, _, _ = self.qubit()
         with pytest.raises(PolarizationMismatch):
-            apply_eop(st, EopConfig(armed=True), ModeId(0, H))
+            apply_eop(st, ModeId(0, H))
 
     def test_h_amplitudes_bit_identical(self):
         m = modes_for(1)
         st = make_vacuum(m)
         st = st._replace({(1, 0): 0.6 + 0j, (1, 1): 0.8j})
-        out = apply_eop(st, EopConfig(armed=True), ModeId(0, V))
+        out = apply_eop(st, ModeId(0, V))
         assert out.amplitude((1, 0)) is not None
         assert out.amplitude((1, 0)) == st.amplitude((1, 0))
         assert out.amplitude((1, 1)) == -st.amplitude((1, 1))
@@ -118,8 +118,8 @@ class TestEop:
         h_mix = el._u2(ModeId(0, H), ModeId(1, H), haar_unitary(rng))
         helem = el.Element(el.ElementKind.BEAM_SPLITTER, (0, 1), actions=(h_mix,))
 
-        a = apply_eop(apply_element(st, helem), EopConfig(armed=True), ModeId(1, V))
-        b = apply_element(apply_eop(st, EopConfig(armed=True), ModeId(1, V)), helem)
+        a = apply_eop(apply_element(st, helem), ModeId(1, V))
+        b = apply_element(apply_eop(st, ModeId(1, V)), helem)
         for occ in set(a.amplitudes) | set(b.amplitudes):
             assert abs(a.amplitude(occ) - b.amplitude(occ)) < 1e-12
 

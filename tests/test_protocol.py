@@ -8,15 +8,17 @@ import pytest
 
 from fockbench.elements import transfer_matrix
 from fockbench.errors import BadParam, ProtocolError
-from fockbench.noise import ClickPattern, NoiseModel
+from fockbench.noise import NoiseModel
 from fockbench.protocol import (
+    ALICE_PATTERNS,
+    FIRING_PATTERN,
+    KEPT_PATTERNS,
     PAIR_NAMES,
     BellOutcome,
     RunConfig,
     RunMode,
     _TransferEngine,
     analytic_coincidences,
-    classify,
     click_tables,
     default_phi_grid,
     outcome_distribution,
@@ -38,31 +40,18 @@ FULL_NOISE = NoiseModel(qe=0.45, dephasing_sigma=0.66, dark_count_prob=2e-3)
 JITTERED = TimingModel(risetime_ns=23.5, jitter_sigma_ns=1.5)
 
 
-def clicks(d1: bool, d2: bool) -> ClickPattern:
-    ts = {}
-    if d1:
-        ts["D1"] = 0.0
-    if d2:
-        ts["D2"] = 0.0
-    return ClickPattern({"D1": d1, "D2": d2}, ts)
-
-
-class TestClassify:
-    def test_d1_only_is_psi3(self):
-        assert classify(clicks(True, False)) is BellOutcome.PSI3
-
-    def test_d2_only_is_psi4(self):
-        assert classify(clicks(False, True)) is BellOutcome.PSI4
-
-    def test_neither_is_psi1(self):
-        assert classify(clicks(False, False)) is BellOutcome.PSI1_IDLE
-
-    def test_both_is_psi2(self):
-        assert classify(clicks(True, True)) is BellOutcome.PSI2_IDLE
-
-    def test_idleness(self):
-        assert BellOutcome.PSI1_IDLE.idle and BellOutcome.PSI2_IDLE.idle
-        assert not BellOutcome.PSI3.idle and not BellOutcome.PSI4.idle
+@pytest.mark.parametrize("d1, d2, bell", [
+    (True, False, BellOutcome.PSI3),
+    (False, True, BellOutcome.PSI4),
+    (False, False, BellOutcome.PSI1_IDLE),
+    (True, True, BellOutcome.PSI2_IDLE),
+])
+def test_alice_pattern_table(d1, d2, bell):
+    pattern = d1 + 2 * d2
+    assert ALICE_PATTERNS[pattern] is bell
+    # exactly one click is kept, and only a lone D2 click fires the cell
+    assert (pattern in KEPT_PATTERNS) == (d1 != d2) == (not bell.idle)
+    assert (pattern == FIRING_PATTERN) == (d2 and not d1)
 
 
 def pairs(*probs):

@@ -20,7 +20,7 @@ OPTIONS = {
             "--jitter-ns", "--log-events", "--manifest", "--mode", "--ns-per-m", "--out",
             "--phi-steps", "--qe", "--risetime-ns", "--seed", "--trials"],
     "analyze": [],
-    "compare": ["--pair-a", "--pair-b", "--pi-tol"],
+    "compare": ["--pair-a", "--pair-b"],
     "validate-bench": [],
     "reproduce-paper": ["--active-visibility", "--bench", "--out", "--passive-visibility",
                         "--phi-steps", "--seed", "--trials"],

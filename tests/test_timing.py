@@ -12,7 +12,6 @@ from fockbench.timing import (
     PHOTON_AT_EOP,
     PHOTON_EMITTED,
     TimingModel,
-    effective_correction,
     race,
 )
 
@@ -38,25 +37,21 @@ class TestTimingModel:
 class TestRace:
     def test_stock_bench_makes_it(self):
         # 8 m at 3.0 ns/m gives 24 ns of flight against a 22 ns risetime
-        rr = race(0.0, TimingModel(), 8.0)
+        rr = race(TimingModel(), 8.0)
         assert rr.armed_in_time
         assert rr.photon_at_eop_ns == pytest.approx(24.0)
         assert rr.hv_ready_ns == pytest.approx(22.0)
 
     def test_six_meters_misses(self):
-        rr = race(0.0, TimingModel(), 6.0)
+        rr = race(TimingModel(), 6.0)
         assert not rr.armed_in_time
 
     def test_zero_risetime_always_wins(self):
-        rr = race(0.0, TimingModel(risetime_ns=0.0), 0.1)
+        rr = race(TimingModel(risetime_ns=0.0), 0.1)
         assert rr.armed_in_time
 
-    def test_negative_click_rejected(self):
-        with pytest.raises(BadParam):
-            race(-1.0, TimingModel(), 8.0)
-
     def test_log_is_time_sorted_and_complete(self):
-        rr = race(0.0, TimingModel(), 8.0)
+        rr = race(TimingModel(), 8.0)
         times = [e.t_ns for e in rr.log.events]
         assert times == sorted(times)
         kinds = [e.kind for e in rr.log.events]
@@ -65,21 +60,21 @@ class TestRace:
         assert EOP_APPLIED in kinds and EOP_MISSED not in kinds
 
     def test_missed_race_logs_miss(self):
-        rr = race(0.0, TimingModel(), 6.0)
+        rr = race(TimingModel(), 6.0)
         kinds = [e.kind for e in rr.log.events]
         assert EOP_MISSED in kinds and EOP_APPLIED not in kinds
 
     def test_hv_ready_invariant(self, rng):
         t = TimingModel(risetime_ns=23.5, jitter_sigma_ns=0.5)
         for _ in range(50):
-            rr = race(2.0, t, 8.0, rng)
+            rr = race(t, 8.0, rng)
             hv = [e for e in rr.log.events if e.kind == HV_READY][0]
             assert hv.t_ns == pytest.approx(rr.hv_ready_ns)
-            assert rr.hv_ready_ns >= 2.0 + 1.5  # click + 1.5, jitter aside
+            assert rr.hv_ready_ns >= 1.5  # click at 0, + 1.5, jitter aside
 
     def test_threshold_flips_exactly_once(self):
         t = TimingModel()
-        armed = [race(0.0, t, d, None).armed_in_time
+        armed = [race(t, d, None).armed_in_time
                  for d in np.linspace(5.0, 10.0, 201)]
         flips = sum(a != b for a, b in zip(armed, armed[1:]))
         assert flips == 1
@@ -89,13 +84,13 @@ class TestRace:
         # deadline 24 ns, mean ready 22 ns, sigma 3 ns
         t = TimingModel(jitter_sigma_ns=3.0)
         n = 100_000
-        misses = sum(not race(0.0, t, 8.0, rng).armed_in_time for _ in range(n))
+        misses = sum(not race(t, 8.0, rng).armed_in_time for _ in range(n))
         z = (24.0 - 22.0) / 3.0
         want = 1.0 - 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
         assert abs(misses / n - want) < 0.01
 
     def test_csv_export(self):
-        rr = race(0.0, TimingModel(), 8.0)
+        rr = race(TimingModel(), 8.0)
         csv = rr.log.to_csv()
         lines = csv.strip().splitlines()
         assert lines[0] == "timestamp_ns,event,detail"
@@ -108,7 +103,7 @@ class TestArmingProbability:
     def test_step_matches_race_without_jitter(self, slack):
         # 8 m at 3 ns/m is 24 ns of flight against a risetime of 24 - slack
         t = TimingModel(risetime_ns=24.0 - slack)
-        armed = race(0.0, t, 8.0).armed_in_time
+        armed = race(t, 8.0).armed_in_time
         assert armed == (slack >= 0)
         assert t.arming_probability(8.0) == float(armed)
 
@@ -117,22 +112,6 @@ class TestArmingProbability:
         p = t.arming_probability(8.0)
         assert 0.5 < p < 0.7
         n = 20_000
-        hits = sum(race(0.0, t, 8.0, rng).armed_in_time for _ in range(n))
+        hits = sum(race(t, 8.0, rng).armed_in_time for _ in range(n))
         assert abs(hits - n * p) <= 5 * math.sqrt(n * p * (1 - p))
 
-
-class TestEffectiveCorrection:
-    @pytest.mark.parametrize("trigger,armed,want", [
-        ("D2", True, True),
-        ("D1", True, False),
-        ("D2", False, False),
-        ("D1", False, False),
-        (None, True, False),
-        ("none", True, False),
-    ])
-    def test_table(self, trigger, armed, want):
-        assert effective_correction(trigger, armed) is want
-
-    def test_bad_trigger(self):
-        with pytest.raises(BadParam):
-            effective_correction("D3", True)
