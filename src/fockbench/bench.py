@@ -28,7 +28,7 @@ from typing import Mapping
 
 from . import elements as el
 from .elements import Element, ElementKind
-from .errors import BadParam, FockbenchError
+from .errors import BadParam, FockbenchError, MalformedInput
 from .fock import ModeId, Polarization
 
 H, V = Polarization.H, Polarization.V
@@ -342,9 +342,17 @@ def figure1_text() -> str:
     return resources.files("fockbench").joinpath("data/figure1.bench").read_text()
 
 
+def read_input(path: str) -> str:
+    """The text of an input file; one that is not UTF-8 raises ``MalformedInput``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise MalformedInput(f"{path}: {exc}") from None
+
+
 def load(path_or_builtin: str | None = None) -> Bench:
     """Load a bench file, or the builtin apparatus when None/'builtin'."""
     if path_or_builtin in (None, "builtin"):
         return builtin_figure1()
-    with open(path_or_builtin, encoding="utf-8") as fh:
-        return parse(fh.read())
+    return parse(read_input(path_or_builtin))

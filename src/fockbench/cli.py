@@ -24,7 +24,7 @@ from .analysis import (
     fit_fringe,
     wrap_phase,
 )
-from .bench import Bench, BenchError, load, parse_with_diagnostics
+from .bench import Bench, BenchError, load, parse_with_diagnostics, read_input
 from .elements import ElementKind, delay_line
 from .errors import (
     BadCalibration,
@@ -113,8 +113,7 @@ def _load_manifest(path: str, args: argparse.Namespace) -> None:
     may have one.  A manifest from another fockbench version is run with a
     warning.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    for line in text.splitlines():
+    for line in read_input(path).splitlines():
         key, sep, val = line.partition("=")
         if sep and key == "fockbench_version" and val != __version__:
             print(f"warning: manifest {path} was written by fockbench {val}, "
@@ -138,11 +137,12 @@ def _build_run(args: argparse.Namespace) -> tuple[Bench, RunConfig]:
     bench = load(args.bench)
     if args.delay_m is not None:
         bench = _with_delay(bench, args.delay_m)
+    if args.input_theta is not None:
+        bench = bench.with_input_theta(args.input_theta)
     cfg = RunConfig(
         mode=RunMode.parse(args.mode),
         trials_per_phi=args.trials,
         phi_grid=default_phi_grid(args.phi_steps),
-        input_theta=args.input_theta,
         noise=NoiseModel(qe=args.qe, dephasing_sigma=args.dephasing_sigma,
                          dark_count_prob=args.dark_prob),
         timing=TimingModel(risetime_ns=args.risetime_ns,
@@ -187,7 +187,7 @@ def _fit_pair(data: FringeData, pair: str):
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    data = FringeData.from_csv(Path(args.fringe_csv).read_text(encoding="utf-8"))
+    data = FringeData.from_csv(read_input(args.fringe_csv))
     print(f"# {args.fringe_csv}: {len(data.phi_grid)} phase points, "
           f"{int(data.trials_total.sum())} trials")
     for pair in PAIR_NAMES:
@@ -215,8 +215,8 @@ PI_TOL = 0.1
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    data_a = FringeData.from_csv(Path(args.run_a).read_text(encoding="utf-8"))
-    data_b = FringeData.from_csv(Path(args.run_b).read_text(encoding="utf-8"))
+    data_a = FringeData.from_csv(read_input(args.run_a))
+    data_b = FringeData.from_csv(read_input(args.run_b))
     if data_a.phi_grid != data_b.phi_grid:
         raise GridMismatch("phase grids differ between the two runs")
     fit_a = _fit_pair(data_a, args.pair_a)
@@ -237,7 +237,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_validate_bench(args: argparse.Namespace) -> int:
-    bench, diags = parse_with_diagnostics(Path(args.bench_file).read_text(encoding="utf-8"))
+    bench, diags = parse_with_diagnostics(read_input(args.bench_file))
     for d in diags:
         print(str(d))
     errors = [d for d in diags if d.severity == "error"]
@@ -259,8 +259,7 @@ def cmd_reproduce_paper(args: argparse.Namespace) -> int:
     def cfg(mode: RunMode, sigma: float) -> RunConfig:
         return RunConfig(mode=mode, trials_per_phi=args.trials,
                          phi_grid=default_phi_grid(args.phi_steps),
-                         noise=NoiseModel(dephasing_sigma=sigma),
-                         timing=TimingModel())
+                         noise=NoiseModel(dephasing_sigma=sigma))
 
     runs = {
         "passive": run_sweep(bench, cfg(RunMode.PASSIVE, sigma_passive), seed=args.seed),
@@ -371,7 +370,7 @@ def main(argv: list[str] | None = None) -> int:
     except (BadParam, BadCalibration) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, UnicodeDecodeError, GridMismatch, FitUnderdetermined, MalformedInput,
+    except (OSError, GridMismatch, FitUnderdetermined, MalformedInput,
             ProtocolError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -20,8 +20,9 @@ the two tables by the race's arming probability (``timing``) in
 on one stream: the cost of a sweep does not grow with the trial count.
 ``run_trial`` samples the same tables one shot at a time, Alice's pattern
 and then Bob's given hers, and draws only the race, whose jitter and
-timestamps its event log records.  ``analytic_coincidences`` derives the
-noiseless fringe independently, by Fock-state projection.
+timestamps its event log records.  Both run the bench exactly as given
+(``Bench.with_input_theta`` retunes it).  ``analytic_coincidences``
+derives the noiseless fringe independently, by Fock-state projection.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from . import fock
 from .bench import Bench
 from .elements import ElementKind, apply_element, phase_shifter, transfer_matrix
 from .errors import BadParam, MalformedInput, ProtocolError
-from .fock import FockState, ModeId, Polarization
+from .fock import ModeId, Polarization
 from .noise import ClickPattern, NoiseModel, click_table
 from .timing import ALICE_CLICK, PHOTON_EMITTED, EventLog, TimingModel, race
 
@@ -94,7 +95,6 @@ class RunConfig:
     mode: RunMode = RunMode.PASSIVE
     trials_per_phi: int = 1000
     phi_grid: tuple[float, ...] = default_phi_grid()
-    input_theta: float | None = None
     noise: NoiseModel = NoiseModel()
     timing: TimingModel = TimingModel()
 
@@ -205,13 +205,6 @@ def position_from_phase(phi: float, lambda_meters: float) -> float:
 
 # ----------------------------------------------------------------------
 # engine
-
-
-def _prepared_state(bench: Bench) -> FockState:
-    st = fock.make_vacuum(bench.modes)
-    for m in bench.sources:
-        st = fock.create_photon(st, m)
-    return st
 
 
 def _require_protocol_bench(bench: Bench) -> int:
@@ -378,13 +371,10 @@ def _clicks(names: tuple[str, str], pattern: int, t_ns: float) -> ClickPattern:
 
 
 def run_trial(
-    bench: Bench, phi: float, cfg: RunConfig, rng: np.random.Generator,
-    engine: _TransferEngine | None = None,
+    bench: Bench, phi: float, cfg: RunConfig, rng: np.random.Generator
 ) -> TrialRecord:
-    """One complete shot through the protocol, with the full event log."""
-    if cfg.input_theta is not None:
-        bench = bench.with_input_theta(cfg.input_theta)
-    eng = engine if engine is not None else _TransferEngine(bench)
+    """One complete shot through ``bench`` at ``phi``, with the full event log."""
+    eng = _TransferEngine(bench)
     unfired, fired_table = click_tables(eng, (phi,), cfg.noise)[:, 0]
 
     # Alice's Bell measurement
@@ -431,8 +421,6 @@ def run_sweep(
         raise BadParam(f"seed must be >= 0, got {seed}")
     if workers < 1:
         raise BadParam(f"workers must be >= 1, got {workers}")
-    if cfg.input_theta is not None:
-        bench = bench.with_input_theta(cfg.input_theta)
     grid = cfg.phi_grid
     tables = outcome_distribution(_TransferEngine(bench), cfg)
     # (D1, D2 trigger) x (Bob D1* only, D2* only, both), then discarded
@@ -454,7 +442,9 @@ def analytic_coincidences(bench: Bench, phi: float) -> AnalyticCoincidences:
     The Pockels cell stays disarmed, matching the bench's closed-form
     description of the uncorrected coincidence fringes.
     """
-    st = _prepared_state(bench)
+    st = fock.make_vacuum(bench.modes)
+    for m in bench.sources:
+        st = fock.create_photon(st, m)
     for e in bench.pipeline:
         if e.is_knob:
             e = phase_shifter(e.paths[0], phi, knob=True)

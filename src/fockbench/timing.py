@@ -78,7 +78,21 @@ class RaceResult:
     armed_in_time: bool
     hv_ready_ns: float
     photon_at_eop_ns: float
-    log: EventLog
+    jitter_ns: float
+
+    @property
+    def log(self) -> EventLog:
+        hv_ready, photon_at_eop = self.hv_ready_ns, self.photon_at_eop_ns
+        log = EventLog()
+        log.add(0.0, PHOTON_EMITTED)
+        log.add(0.0, ALICE_CLICK)
+        log.add(hv_ready, HV_READY, f"jitter={self.jitter_ns:.3f}")
+        log.add(photon_at_eop, PHOTON_AT_EOP)
+        if self.armed_in_time:
+            log.add(photon_at_eop, EOP_APPLIED)
+        else:
+            log.add(hv_ready, EOP_MISSED, f"late by {hv_ready - photon_at_eop:.3f} ns")
+        return log.sorted()
 
 
 def race(
@@ -87,8 +101,8 @@ def race(
     """Race the HV chain against the photon's flight down the delay line.
 
     The photon is emitted, and Alice's detector clicks, at t = 0.
-    armed_in_time iff risetime + jitter <= length * ns_per_m.  The log
-    records every event in time order.
+    armed_in_time iff risetime + jitter <= length * ns_per_m.  The result's
+    log, built when it is read, records every event in time order.
     """
     jitter = 0.0
     if timing.jitter_sigma_ns > 0:
@@ -97,16 +111,4 @@ def race(
         jitter = float(rng.normal(0.0, timing.jitter_sigma_ns))
     hv_ready = timing.risetime_ns + jitter
     photon_at_eop = delay_length_m * timing.delay_ns_per_m
-    armed = hv_ready <= photon_at_eop
-
-    log = EventLog()
-    log.add(0.0, PHOTON_EMITTED)
-    log.add(0.0, ALICE_CLICK)
-    log.add(hv_ready, HV_READY, f"jitter={jitter:.3f}")
-    log.add(photon_at_eop, PHOTON_AT_EOP)
-    if armed:
-        log.add(photon_at_eop, EOP_APPLIED)
-    else:
-        log.add(hv_ready, EOP_MISSED, f"late by {hv_ready - photon_at_eop:.3f} ns")
-    return RaceResult(armed, hv_ready, photon_at_eop, log.sorted())
-
+    return RaceResult(hv_ready <= photon_at_eop, hv_ready, photon_at_eop, jitter)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import pytest
 
@@ -11,9 +12,11 @@ from fockbench.bench import (
     load,
     parse,
     parse_with_diagnostics,
+    read_input,
     validate,
 )
 from fockbench.elements import ElementKind
+from fockbench.errors import MalformedInput
 from fockbench.fock import ModeId, Polarization
 
 H, V = Polarization.H, Polarization.V
@@ -251,3 +254,15 @@ class TestLoad:
         p = tmp_path / "mini.bench"
         p.write_text(MINIMAL)
         assert load(str(p)) == parse(MINIMAL)
+
+    def test_load_reads_utf8(self, tmp_path):
+        p = tmp_path / "qubit.bench"
+        p.write_text("# \u03b8 = \u03c0/4\n" + MINIMAL, encoding="utf-8")
+        assert load(str(p)) == parse(MINIMAL)
+
+    def test_non_utf8_file_is_malformed_and_named(self, tmp_path):
+        p = tmp_path / "latin1.bench"
+        p.write_bytes(("# \u00e9\n" + MINIMAL).encode("latin-1"))
+        for read in (read_input, load):
+            with pytest.raises(MalformedInput, match=re.escape(str(p))):
+                read(str(p))

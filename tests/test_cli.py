@@ -77,6 +77,22 @@ class TestRun:
         run_cli("run", "--manifest", str(a / "manifest.txt"), "--out", str(b))
         assert (a / "fringe.csv").read_bytes() == (b / "fringe.csv").read_bytes()
 
+    @pytest.mark.parametrize("flags", [("--input-theta", "0.3"), ("--delay-m", "7.5"),
+                                       ("--input-theta", "0.3", "--delay-m", "7.5")])
+    def test_manifest_rerun_keeps_the_retuned_bench(self, tmp_path, flags):
+        # the flags edit the bench; the manifest records them and a rerun edits it again
+        run = ("run", "--mode", "active", "--trials", "200", "--phi-steps", "5", "--seed", "4",
+               "--jitter-ns", "1.5", "--log-events")
+        assert run_cli(*run, "--out", str(tmp_path / "plain")) == 0
+        assert run_cli(*run, *flags, "--out", str(tmp_path / "tuned")) == 0
+        assert run_cli("run", "--manifest", str(tmp_path / "tuned" / "manifest.txt"),
+                       "--log-events", "--out", str(tmp_path / "rerun")) == 0
+
+        def outputs(name):
+            return [(tmp_path / name / f).read_bytes() for f in ("fringe.csv", "events.csv")]
+
+        assert outputs("rerun") == outputs("tuned") != outputs("plain")
+
     def test_workers_do_not_change_output(self, tmp_path):
         # manifests written before --workers was removed carry a workers key
         a, b = tmp_path / "a", tmp_path / "b"
@@ -461,6 +477,7 @@ def test_non_utf8_input_file_exits_3(tmp_path, capsys, argv):
     assert run_cli(*(a.format(f=f, out=tmp_path / "out") for a in argv)) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(f) in err  # names the file that does not decode
     assert not (tmp_path / "out").exists()
 
 

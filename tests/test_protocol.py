@@ -432,7 +432,7 @@ class TestOutcomeDistribution:
         shots = 10_000
         observed = np.zeros((4, 4))
         for _ in range(shots):
-            rec = run_trial(bench, phi, cfg, rng, engine=eng)
+            rec = run_trial(bench, phi, cfg, rng)
             a, b = rec.alice_clicks.clicks, rec.bob_clicks.clicks
             observed[a["D1"] + 2 * a["D2"], b["D1*"] + 2 * b["D2*"]] += 1
         expected = shots * outcome_distribution(eng, cfg)[0]

@@ -1,10 +1,12 @@
 """Surface audit: every export and every flag has a documented caller.
 
-A new package export must be used by a demo or the README, and a new
-command-line flag must be added to the lists below on purpose.
+A new package export must be used by a demo or the README, no export may
+take a parameter of a private type, and a new command-line flag must be
+added to the lists below on purpose.
 """
 
 import argparse
+import inspect
 import re
 from pathlib import Path
 
@@ -38,6 +40,16 @@ def test_every_export_has_a_caller():
                      for p in [ROOT / "README.md", *sorted((ROOT / "demos").glob("*.py"))])
     unused = [name for name in fockbench.__all__ if not re.search(rf"\b{name}\b", text)]
     assert unused == []
+
+
+def test_no_export_takes_a_private_type():
+    private = []
+    for name in fockbench.__all__:
+        for param in inspect.signature(getattr(fockbench, name)).parameters.values():
+            annotation = param.annotation
+            if annotation is not param.empty and re.search(r"\b_\w", str(annotation)):
+                private.append(f"{name}({param.name}: {annotation})")
+    assert private == []
 
 
 @pytest.mark.parametrize("command", OPTIONS)

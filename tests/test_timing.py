@@ -72,6 +72,18 @@ class TestRace:
             assert hv.t_ns == pytest.approx(rr.hv_ready_ns)
             assert rr.hv_ready_ns >= 1.5  # click at 0, + 1.5, jitter aside
 
+    def test_log_details_carry_the_drawn_jitter(self, rng):
+        t = TimingModel(jitter_sigma_ns=3.0)
+        draws = [race(t, 8.0, rng) for _ in range(50)]
+        assert {rr.armed_in_time for rr in draws} == {False, True}
+        for rr in draws:
+            assert rr.hv_ready_ns == t.risetime_ns + rr.jitter_ns
+            details = {e.kind: e.detail for e in rr.log.events}
+            assert details[HV_READY] == f"jitter={rr.jitter_ns:.3f}"
+            if not rr.armed_in_time:
+                late = rr.hv_ready_ns - rr.photon_at_eop_ns
+                assert details[EOP_MISSED] == f"late by {late:.3f} ns"
+
     def test_threshold_flips_exactly_once(self):
         t = TimingModel()
         armed = [race(t, d, None).armed_in_time
