@@ -58,7 +58,7 @@ class Bench:
 
     Immutable: the two mappings are stored as read-only copies, so one bench
     (e.g. the cached builtin) can be shared; derive a changed bench with
-    ``dataclasses.replace``.
+    ``with_input_theta``, ``with_delay_m`` or ``dataclasses.replace``.
     """
 
     path_names: tuple[str, ...]
@@ -95,22 +95,26 @@ class Bench:
         """Retune the qubit-preparation splitter (the last bs feeding the knob)."""
         knob = self.knob_index
         if knob < 0:
-            raise BenchError([Diagnostic("no-phase-knob", "bench has no phase knob")])
+            raise BadParam("--input-theta needs a bench with one phase knob")
         knob_path = self.pipeline[knob].paths[0]
-        target = None
-        for i in range(knob - 1, -1, -1):
-            e = self.pipeline[i]
-            if e.kind is ElementKind.BEAM_SPLITTER and knob_path in e.paths:
-                target = i
-                break
-        if target is None:
-            raise BenchError(
-                [Diagnostic("bad-wiring", "no splitter feeds the phase knob")]
-            )
-        old = self.pipeline[target]
-        new = el.beam_splitter(old.paths[0], old.paths[1], theta)
-        return replace(self, pipeline=self.pipeline[:target] + (new,)
-                       + self.pipeline[target + 1 :])
+        feeding = [i for i, e in enumerate(self.pipeline[:knob])
+                   if e.kind is ElementKind.BEAM_SPLITTER and knob_path in e.paths]
+        if not feeding:
+            raise BadParam("--input-theta needs a bench with a splitter feeding the phase knob")
+        old = self.pipeline[feeding[-1]]
+        return self._with_element(feeding[-1], el.beam_splitter(*old.paths, theta))
+
+    def with_delay_m(self, length_m: float) -> "Bench":
+        """Set the length of the bench's one delay line."""
+        # the race uses the lines' summed length, so one length fits only one line
+        lines = [i for i, e in enumerate(self.pipeline) if e.kind is ElementKind.DELAY_LINE]
+        if len(lines) != 1:
+            raise BadParam(f"--delay-m needs a bench with one delay line, got {len(lines)}")
+        path = self.pipeline[lines[0]].paths[0]
+        return self._with_element(lines[0], el.delay_line(path, length_m))
+
+    def _with_element(self, i: int, new: Element) -> "Bench":
+        return replace(self, pipeline=self.pipeline[:i] + (new,) + self.pipeline[i + 1 :])
 
     def to_text(self) -> str:
         out = []

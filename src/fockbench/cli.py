@@ -10,7 +10,6 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +24,6 @@ from .analysis import (
     wrap_phase,
 )
 from .bench import Bench, BenchError, load, parse_with_diagnostics, read_input
-from .elements import ElementKind, delay_line
 from .errors import (
     BadCalibration,
     BadParam,
@@ -58,17 +56,6 @@ def sparkline(values) -> str:
         return " " * len(vals)
     idx = np.minimum((vals / top * (len(_BLOCKS) - 1)).astype(int), len(_BLOCKS) - 1)
     return "".join(_BLOCKS[i] for i in idx)
-
-
-def _with_delay(bench: Bench, delay_m: float) -> Bench:
-    # the race uses the lines' summed length, so one length fits only one line
-    lines = sum(e.kind is ElementKind.DELAY_LINE for e in bench.pipeline)
-    if lines != 1:
-        raise BadParam(f"--delay-m needs a bench with one delay line, got {lines}")
-    return replace(bench, pipeline=tuple(
-        delay_line(e.paths[0], delay_m) if e.kind is ElementKind.DELAY_LINE else e
-        for e in bench.pipeline
-    ))
 
 
 # dest -> (type, default, help): the run flags, which manifest.txt records
@@ -136,7 +123,7 @@ def _load_manifest(path: str, args: argparse.Namespace) -> None:
 def _build_run(args: argparse.Namespace) -> tuple[Bench, RunConfig]:
     bench = load(args.bench)
     if args.delay_m is not None:
-        bench = _with_delay(bench, args.delay_m)
+        bench = bench.with_delay_m(args.delay_m)
     if args.input_theta is not None:
         bench = bench.with_input_theta(args.input_theta)
     cfg = RunConfig(
@@ -249,6 +236,16 @@ def cmd_validate_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+#: reproduce-paper's runs, seeded seed + index: (name, mode, fitted pair).
+#: Passive exact teleportation shows on (D1, D2*); the D2-triggered state
+#: shows on (D2, D2*): sigma_z-flipped when inhibited, restored when active
+_PAPER_RUNS = (
+    ("passive", RunMode.PASSIVE, "D1-D2*"),
+    ("inhibited", RunMode.ACTIVE_INHIBITED, "D2-D2*"),
+    ("active", RunMode.ACTIVE, "D2-D2*"),
+)
+
+
 def cmd_reproduce_paper(args: argparse.Namespace) -> int:
     """Three sweeps mirroring the bench's headline figure and fidelities."""
     bench = load(args.bench)
@@ -256,55 +253,40 @@ def cmd_reproduce_paper(args: argparse.Namespace) -> int:
     sigma_added = calibrate_sigma(args.passive_visibility, args.active_visibility)
     sigma_total = math.hypot(sigma_passive, sigma_added)
 
-    def cfg(mode: RunMode, sigma: float) -> RunConfig:
-        return RunConfig(mode=mode, trials_per_phi=args.trials,
-                         phi_grid=default_phi_grid(args.phi_steps),
-                         noise=NoiseModel(dephasing_sigma=sigma))
-
-    runs = {
-        "passive": run_sweep(bench, cfg(RunMode.PASSIVE, sigma_passive), seed=args.seed),
-        "inhibited": run_sweep(bench, cfg(RunMode.ACTIVE_INHIBITED, sigma_total),
-                               seed=args.seed + 1),
-        "active": run_sweep(bench, cfg(RunMode.ACTIVE, sigma_total), seed=args.seed + 2),
-    }
+    grid = default_phi_grid(args.phi_steps)
+    runs = []  # (name, fitted pair, fringe data)
+    for k, (name, mode, pair) in enumerate(_PAPER_RUNS):
+        sigma = sigma_passive if mode is RunMode.PASSIVE else sigma_total
+        cfg = RunConfig(mode=mode, trials_per_phi=args.trials, phi_grid=grid,
+                        noise=NoiseModel(dephasing_sigma=sigma))
+        runs.append((name, pair, run_sweep(bench, cfg, seed=args.seed + k)))
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        for name, data in runs.items():
+        for name, _, data in runs:
             (out / f"{name}.csv").write_text(data.to_csv(), encoding="utf-8")
-
-    # passive exact teleportation shows on (D1, D2*); the D2-triggered state
-    # shows on (D2, D2*): sigma_z-flipped when inhibited, restored when active
-    fit_passive = _fit_pair(runs["passive"], "D1-D2*")
-    fit_inhib = _fit_pair(runs["inhibited"], "D2-D2*")
-    fit_active = _fit_pair(runs["active"], "D2-D2*")
+    fits = {name: _fit_pair(data, pair) for name, pair, data in runs}
 
     print(f"dephasing: passive sigma={sigma_passive:.4f} rad, "
           f"delay-line adds {sigma_added:.4f} rad (total {sigma_total:.4f})")
     print()
     print("fringe (coincidences vs phase), upper=exact teleportation:")
-    print(f"  passive   D1-D2* {sparkline(runs['passive'].counts['D1-D2*'])}")
-    print(f"  inhibited D2-D2* {sparkline(runs['inhibited'].counts['D2-D2*'])}")
-    print(f"  active    D2-D2* {sparkline(runs['active'].counts['D2-D2*'])}")
+    for name, pair, data in runs:
+        print(f"  {name:9s} {pair} {sparkline(data.counts[pair])}")
     print()
-    rows = [
-        ("passive", fit_passive),
-        ("inhibited", fit_inhib),
-        ("active", fit_active),
-    ]
-    for name, fit in rows:
+    for name, fit in fits.items():
         f = fidelity_from_visibility(fit.visibility)
         sf = error_propagation(fit)
         verdict = "beats" if classical_bound_check(f) else "below"
         print(f"{name:9s} V={fit.visibility:.4f}+-{fit.sigma_visibility:.4f} "
               f"phi0={fit.phi0:+.4f} F={f:.4f}+-{sf:.4f} ({verdict} 2/3 bound)")
-    dphi_active = wrap_phase(fit_active.phi0 - fit_passive.phi0)
-    dphi_inhib = wrap_phase(fit_inhib.phi0 - fit_passive.phi0)
+    dphi_active = wrap_phase(fits["active"].phi0 - fits["passive"].phi0)
+    dphi_inhib = wrap_phase(fits["inhibited"].phi0 - fits["passive"].phi0)
     print()
     print(f"active vs passive    delta_phi0={dphi_active:+.4f} (correction restores the fringe)")
     print(f"inhibited vs passive delta_phi0={dphi_inhib:+.4f} (sigma_z flip, expect +-pi)")
-    print(f"F_passive={fidelity_from_visibility(fit_passive.visibility):.6f}")
-    print(f"F_active={fidelity_from_visibility(fit_active.visibility):.6f}")
+    print(f"F_passive={fidelity_from_visibility(fits['passive'].visibility):.6f}")
+    print(f"F_active={fidelity_from_visibility(fits['active'].visibility):.6f}")
     return 0
 
 

@@ -6,23 +6,25 @@ samples Bob's verification detectors.  Idle outcomes (no Alice click, or an
 Alice click with no Bob click) are discarded the way the bench's coincidence
 circuit discards them.
 
-The bench upstream of the detectors is linear optics on two photons, so one
-engine composes its single-photon transfer matrices once, updating the
-columns each element touches in place (``elements.transfer_matrix``), and
-every two-photon amplitude is a 2x2 permanent of them.  Summed over the
-modes of each detector class, the permanents' squares reduce to products of
-small per-class Gram matrices of the photons' amplitudes.  ``click_tables``
-turns these into the exact (Alice, Bob) click-pattern tables of every phase
-of a grid, with the cell disarmed and fired, averaging the dephasing phase
-and the detectors (``noise.click_table``) in closed form.  ``run_sweep`` mixes
-the two tables by the race's arming probability (``timing``) in
-``outcome_distribution`` and draws the whole grid in one multinomial call
-on one stream: the cost of a sweep does not grow with the trial count.
-``run_trial`` samples the same tables one shot at a time, Alice's pattern
-and then Bob's given hers, and draws only the race, whose jitter and
-timestamps its event log records.  Both run the bench exactly as given
-(``Bench.with_input_theta`` retunes it).  ``analytic_coincidences``
-derives the noiseless fringe independently, by Fock-state projection.
+The bench upstream of the detectors is linear optics on two photons, so an
+engine composes its single-photon transfer matrices, once per sweep and
+once per shot, updating the columns each element touches in place
+(``elements.transfer_matrix``), and every two-photon amplitude is a 2x2
+permanent of them.  Summed over the modes of each detector class, the
+permanents' squares reduce to products of small per-class Gram matrices of
+the photons' amplitudes.  ``click_tables`` turns these into the exact
+(Alice, Bob) click-pattern tables of every phase of a grid, with the cell
+disarmed and fired, averaging the dephasing phase and the detectors
+(``noise.click_table``) in closed form.  ``run_sweep`` mixes the two tables
+by the race's arming probability (``timing``) in ``outcome_distribution``
+and draws the whole grid in one multinomial call on one stream: the cost of
+a sweep does not grow with the trial count.  ``run_trial`` samples the same
+tables one shot at a time, Alice's pattern and then Bob's given hers, and
+draws only the race; ``timing.shot_log`` builds its event log from Alice's
+clicks and the race.  Both run the bench exactly as given
+(``Bench.with_input_theta`` and ``Bench.with_delay_m`` retune it).
+``analytic_coincidences`` derives the noiseless fringe independently, by
+Fock-state projection.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .elements import ElementKind, apply_element, phase_shifter, transfer_matrix
 from .errors import BadParam, MalformedInput, ProtocolError
 from .fock import ModeId, Polarization
 from .noise import ClickPattern, NoiseModel, click_table
-from .timing import ALICE_CLICK, PHOTON_EMITTED, EventLog, TimingModel, race
+from .timing import EventLog, TimingModel, race, shot_log
 
 ALICE_DETECTORS = ("D1", "D2")
 BOB_DETECTORS = ("D1*", "D2*")
@@ -381,20 +383,12 @@ def run_trial(
     alice = _draw(np.cumsum(unfired.sum(axis=1)), rng.random())
     bell = ALICE_PATTERNS[alice]
     alice_clicks = _clicks(ALICE_DETECTORS, alice, 0.0)
-    log = EventLog()
-    log.add(0.0, PHOTON_EMITTED)
-    for name in alice_clicks.clicked():
-        log.add(0.0, ALICE_CLICK, name)
 
     # feed-forward race, only run when the chain can fire
-    fired = False
+    rr = None
     if cfg.mode is RunMode.ACTIVE and alice == FIRING_PATTERN:
         rr = race(cfg.timing, bench.delay_m, rng)
-        for event in rr.log.events:
-            if event.kind not in (PHOTON_EMITTED, ALICE_CLICK):
-                log.add(event.t_ns, event.kind, event.detail)
-        log = log.sorted()
-        fired = rr.armed_in_time
+    fired = rr is not None and rr.armed_in_time
 
     # Bob's side given Alice's pattern, after the conditional sigma_z
     bob = _draw(np.cumsum((fired_table if fired else unfired)[alice]), rng.random())
@@ -404,7 +398,8 @@ def run_trial(
     if not bell.idle and bob == 0:
         bell = BellOutcome.PSI2_IDLE
         fired = False
-    return TrialRecord(phi, bell, alice_clicks, bob_clicks, fired, bell.idle, log)
+    return TrialRecord(phi, bell, alice_clicks, bob_clicks, fired, bell.idle,
+                       shot_log(alice_clicks.clicked(), rr))
 
 
 def run_sweep(

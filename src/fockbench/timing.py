@@ -4,13 +4,16 @@ A detector click launches the amplifier/avalanche chain; the high voltage is
 ready one risetime (plus jitter) later.  Meanwhile the photon flies down the
 delay line.  The correction lands only if the voltage is ready before the
 photon reaches the cell.  The stock bench: 22 ns risetime against an 8 m
-line at 3.0 ns/m, i.e. 24 ns of grace.
+line at 3.0 ns/m, i.e. 24 ns of grace.  ``shot_log`` builds the
+time-ordered event log of a shot from Alice's clicks and the race, for both
+``RaceResult.log`` and every ``protocol.run_trial`` shot.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -58,13 +61,7 @@ class Event:
 
 @dataclass
 class EventLog:
-    events: list[Event] = field(default_factory=list)
-
-    def add(self, t_ns: float, kind: str, detail: str = "") -> None:
-        self.events.append(Event(t_ns, kind, detail))
-
-    def sorted(self) -> "EventLog":
-        return EventLog(sorted(self.events, key=lambda e: e.t_ns))
+    events: list[Event]
 
     def to_csv(self) -> str:
         lines = ["timestamp_ns,event,detail"]
@@ -82,17 +79,26 @@ class RaceResult:
 
     @property
     def log(self) -> EventLog:
-        hv_ready, photon_at_eop = self.hv_ready_ns, self.photon_at_eop_ns
-        log = EventLog()
-        log.add(0.0, PHOTON_EMITTED)
-        log.add(0.0, ALICE_CLICK)
-        log.add(hv_ready, HV_READY, f"jitter={self.jitter_ns:.3f}")
-        log.add(photon_at_eop, PHOTON_AT_EOP)
-        if self.armed_in_time:
-            log.add(photon_at_eop, EOP_APPLIED)
+        return shot_log(("",), self)  # one click, of an unnamed detector
+
+
+def shot_log(clicked: Iterable[str], rr: RaceResult | None = None) -> EventLog:
+    """The time-ordered log of a shot: the photon's emission and a click of
+    each detector in ``clicked`` at t = 0, then the events of the race
+    ``rr``, if one was run.  Events at equal times keep this order.
+    """
+    events = [Event(0.0, PHOTON_EMITTED)]
+    events += [Event(0.0, ALICE_CLICK, name) for name in clicked]
+    if rr is not None:
+        hv_ready, photon_at_eop = rr.hv_ready_ns, rr.photon_at_eop_ns
+        events.append(Event(hv_ready, HV_READY, f"jitter={rr.jitter_ns:.3f}"))
+        events.append(Event(photon_at_eop, PHOTON_AT_EOP))
+        if rr.armed_in_time:
+            events.append(Event(photon_at_eop, EOP_APPLIED))
         else:
-            log.add(hv_ready, EOP_MISSED, f"late by {hv_ready - photon_at_eop:.3f} ns")
-        return log.sorted()
+            events.append(Event(hv_ready, EOP_MISSED,
+                                f"late by {hv_ready - photon_at_eop:.3f} ns"))
+    return EventLog(sorted(events, key=lambda e: e.t_ns))
 
 
 def race(

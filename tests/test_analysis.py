@@ -51,6 +51,10 @@ class TestFitFringe:
         with pytest.raises(FitUnderdetermined):
             fit_fringe(np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 3.0]))
 
+    def test_mismatched_shapes(self):
+        with pytest.raises(BadParam, match="same shape"):
+            fit_fringe(PHI, model(10.0, 0.5, 0.0)[:-1])
+
     def test_degenerate_equal_phases(self):
         phi = np.full(10, 0.5)
         with pytest.raises(FitUnderdetermined):

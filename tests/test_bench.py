@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from fockbench import elements as el
 from fockbench.bench import (
     Bench,
     BenchError,
@@ -16,7 +17,7 @@ from fockbench.bench import (
     validate,
 )
 from fockbench.elements import ElementKind
-from fockbench.errors import MalformedInput
+from fockbench.errors import BadParam, MalformedInput
 from fockbench.fock import ModeId, Polarization
 
 H, V = Polarization.H, Polarization.V
@@ -104,6 +105,7 @@ class TestParseErrors:
         ("phase a value=x", "syntax", 9),
         ("qwp b angle=1e", "syntax", 7),
         ("eop a b", "syntax", 1),
+        ("bs a b 0.5", "syntax", 8),
     ])
     def test_element_statement_errors_pin_code_line_col(self, statement, code, col):
         base = "path a\npath b\npath c\npath d\nsource photon a V\nphase a knob\n"
@@ -111,6 +113,21 @@ class TestParseErrors:
         assert bench is None
         errors = [d for d in diags if d.severity == "error"]
         assert [(d.code, d.line, d.col) for d in errors] == [(code, 7, col)]
+
+    @pytest.mark.parametrize("statement, col", [
+        ("source photon a X", 17),
+        ("source laser a V", 8),
+        ("source photon a", 1),
+        ("detector E a Q", 14),
+        ("detector E a", 1),
+        ("path a b", 1),
+    ])
+    def test_other_statement_errors_pin_line_col(self, statement, col):
+        base = "path a\npath b\npath c\npath d\nsource photon a V\nphase a knob\n"
+        bench, diags = parse_with_diagnostics(base + statement + "\ndetector D a V\n")
+        assert bench is None
+        errors = [d for d in diags if d.severity == "error"]
+        assert [(d.code, d.line, d.col) for d in errors] == [("syntax", 7, col)]
 
     def test_bad_theta_range(self):
         with pytest.raises(BenchError) as err:
@@ -215,6 +232,25 @@ class TestInputTheta:
         assert a.pipeline[3:] == b.pipeline[3:]
 
 
+class TestBenchEdits:
+    @pytest.mark.parametrize("pipeline, message", [
+        ((el.beam_splitter(0, 1, 0.5),), "one phase knob"),
+        ((el.beam_splitter(1, 2, 0.5), el.phase_shifter(0, knob=True),
+          el.beam_splitter(0, 1, 0.5)), "splitter feeding the phase knob"),
+    ], ids=["no-knob", "no-feeding-splitter"])
+    def test_input_theta_needs_a_splitter_feeding_the_knob(self, pipeline, message):
+        bench = Bench(("a", "b", "c"), (ModeId(0, V),), pipeline, {"D": ModeId(0, V)})
+        with pytest.raises(BadParam, match=message):
+            bench.with_input_theta(0.3)
+
+    @pytest.mark.parametrize("lines", [0, 2])
+    def test_delay_m_needs_one_delay_line(self, lines):
+        pipeline = (el.phase_shifter(0, knob=True),) + (el.delay_line(1, 4.0),) * lines
+        bench = Bench(("a", "b"), (ModeId(0, V),), pipeline, {"D": ModeId(0, V)})
+        with pytest.raises(BadParam, match=f"one delay line, got {lines}$"):
+            bench.with_delay_m(7.0)
+
+
 class TestImmutable:
     def test_builtin_is_parsed_once(self):
         assert builtin_figure1() is builtin_figure1()
@@ -235,11 +271,9 @@ class TestImmutable:
         assert set(b.detectors) == {"D1", "D2", "D1*", "D2*"}
 
     def test_derived_benches_leave_the_builtin_alone(self):
-        from fockbench.cli import _with_delay
-
         b = builtin_figure1()
         assert b.with_input_theta(0.3) != b
-        assert _with_delay(b, 7.0).delay_m == 7.0
+        assert b.with_delay_m(7.0).delay_m == 7.0
         assert builtin_figure1() is b
         assert b == parse(figure1_text())
         assert b.delay_m == 8.0

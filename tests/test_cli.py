@@ -42,6 +42,25 @@ def split_delay_bench(tmp_path, lines):
     return path
 
 
+def no_feeding_splitter_bench(tmp_path):
+    """The builtin bench without its qubit-preparation splitter, written to a file."""
+    path = tmp_path / "unprepared.bench"
+    path.write_text(figure1_text().replace("bs kanc ks theta=0.7853981633974483\n", "", 1))
+    return path
+
+
+#: (manifest key, value, bench file maker, error) of a bench edit the bench cannot take
+UNFIT_EDITS = [
+    pytest.param("delay_m", "7.3", lambda p: split_delay_bench(p, 0),
+                 "--delay-m needs a bench with one delay line, got 0", id="0"),
+    pytest.param("delay_m", "7.3", lambda p: split_delay_bench(p, 2),
+                 "--delay-m needs a bench with one delay line, got 2", id="2"),
+    pytest.param("input_theta", "0.3", no_feeding_splitter_bench,
+                 "--input-theta needs a bench with a splitter feeding the phase knob",
+                 id="input-theta-no-feeding-splitter"),
+]
+
+
 class TestRun:
     def test_golden_csv(self, tmp_path):
         # frozen once from the verified engine; byte-exact thereafter
@@ -193,26 +212,43 @@ class TestRun:
             err = capsys.readouterr().err
             assert err.startswith("error: protocol needs") and err.count("\n") == 1
 
-    # with two lines the race would run on twice the --delay-m length
-    @pytest.mark.parametrize("lines", [0, 2])
-    def test_delay_flag_needs_a_delay_line(self, tmp_path, capsys, lines):
-        bench = split_delay_bench(tmp_path, lines)
-        code = run_cli("run", "--bench", str(bench), "--mode", "active", "--delay-m", "7.3",
-                       "--trials", "10", "--phi-steps", "4", "--out", str(tmp_path / "out"))
-        assert code == 2
-        assert capsys.readouterr().err == \
-            f"error: --delay-m needs a bench with one delay line, got {lines}\n"
+    @pytest.mark.parametrize("element", ["phase ka value=0.1", "bs ks aux theta=0.3"],
+                             ids=["on-D1", "on-D2"])
+    def test_element_after_the_cell_on_alices_modes_exits_3(self, tmp_path, capsys,
+                                                            element):
+        # Alice's clicks are read before the cell fires, so nothing past it may reach them
+        bad = tmp_path / "bad.bench"
+        bad.write_text(figure1_text().replace("eop bob\n", f"eop bob\n{element}\n", 1))
+        for argv in (("validate-bench", str(bad)),
+                     ("run", "--bench", str(bad), "--trials", "10", "--phi-steps", "4",
+                      "--out", str(tmp_path / "out"))):
+            capsys.readouterr()
+            assert run_cli(*argv) == 3
+            assert capsys.readouterr().err == \
+                "error: an element after the Pockels cell touches Alice's detectors\n"
         assert not (tmp_path / "out" / "fringe.csv").exists()
 
-    @pytest.mark.parametrize("lines", [0, 2])
-    def test_manifest_delay_needs_a_delay_line(self, tmp_path, capsys, lines):
-        bench = split_delay_bench(tmp_path, lines)
-        code, err = rerun_with_manifest_value(tmp_path, capsys, "delay_m", "7.3",
-                                              "--bench", str(bench))
+    # with two lines the race would run on twice the --delay-m length, and
+    # without a splitter feeding the knob there is no qubit to retune
+    @pytest.mark.parametrize("key, value, bench_file, message", UNFIT_EDITS)
+    def test_delay_flag_needs_a_delay_line(self, tmp_path, capsys, key, value, bench_file,
+                                           message):
+        flag = "--" + key.replace("_", "-")
+        code = run_cli("run", "--bench", str(bench_file(tmp_path)), "--mode", "active",
+                       flag, value, "--trials", "10", "--phi-steps", "4",
+                       "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out" / "fringe.csv").exists()
+
+    @pytest.mark.parametrize("key, value, bench_file, message", UNFIT_EDITS)
+    def test_manifest_delay_needs_a_delay_line(self, tmp_path, capsys, key, value,
+                                               bench_file, message):
+        code, err = rerun_with_manifest_value(tmp_path, capsys, key, value,
+                                              "--bench", str(bench_file(tmp_path)))
         assert code == 3
         manifest = tmp_path / "a" / "manifest.txt"
-        assert err == (f"error: manifest {manifest}: --delay-m needs a bench with one "
-                       f"delay line, got {lines}\n")
+        assert err == f"error: manifest {manifest}: {message}\n"
         assert not (tmp_path / "b" / "fringe.csv").exists()
 
     @pytest.mark.parametrize("version", ["0.0.1", __version__])

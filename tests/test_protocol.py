@@ -582,6 +582,17 @@ class TestConfig:
         with pytest.raises(ProtocolError):
             run_sweep(late, RunConfig(trials_per_phi=1, phi_grid=(0.0,)), seed=0)
 
+    def test_protocol_keeps_alices_modes_clear_of_the_cell(self, bench):
+        from fockbench.bench import Bench
+        from fockbench.elements import phase_shifter
+
+        # a fixed phase on D1's path, past the cell
+        ka = bench.path_names.index("ka")
+        late = Bench(bench.path_names, bench.sources,
+                     bench.pipeline + (phase_shifter(ka, 0.1),), dict(bench.detectors))
+        with pytest.raises(ProtocolError, match="after the Pockels cell"):
+            run_sweep(late, RunConfig(trials_per_phi=1, phi_grid=(0.0,)), seed=0)
+
     @pytest.mark.parametrize("steps", [0, 2, 3])
     def test_grid_too_coarse_to_fit_is_rejected(self, steps):
         with pytest.raises(BadParam):

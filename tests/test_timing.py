@@ -11,8 +11,10 @@ from fockbench.timing import (
     HV_READY,
     PHOTON_AT_EOP,
     PHOTON_EMITTED,
+    RaceResult,
     TimingModel,
     race,
+    shot_log,
 )
 
 
@@ -84,6 +86,10 @@ class TestRace:
                 late = rr.hv_ready_ns - rr.photon_at_eop_ns
                 assert details[EOP_MISSED] == f"late by {late:.3f} ns"
 
+    def test_jittered_race_needs_an_rng(self):
+        with pytest.raises(BadParam, match="rng"):
+            race(TimingModel(jitter_sigma_ns=1.0), 8.0)
+
     def test_threshold_flips_exactly_once(self):
         t = TimingModel()
         armed = [race(t, d, None).armed_in_time
@@ -127,3 +133,19 @@ class TestArmingProbability:
         hits = sum(race(t, 8.0, rng).armed_in_time for _ in range(n))
         assert abs(hits - n * p) <= 5 * math.sqrt(n * p * (1 - p))
 
+
+class TestShotLog:
+    def test_equal_times_keep_the_build_order(self):
+        # risetime 0 against a 0 m line: every event lands at t = 0
+        rr = RaceResult(True, 0.0, 0.0, 0.0)
+        kinds = [(e.kind, e.detail) for e in shot_log(["D2"], rr).events]
+        assert kinds == [(PHOTON_EMITTED, ""), (ALICE_CLICK, "D2"),
+                         (HV_READY, "jitter=0.000"), (PHOTON_AT_EOP, ""), (EOP_APPLIED, "")]
+
+    def test_early_high_voltage_comes_first(self):
+        # a jitter of -30 ns puts the high voltage before the click
+        rr = RaceResult(True, -8.0, 24.0, -30.0)
+        log = shot_log(["D2"], rr)
+        assert [e.kind for e in log.events] == [HV_READY, PHOTON_EMITTED, ALICE_CLICK,
+                                               PHOTON_AT_EOP, EOP_APPLIED]
+        assert log.events[0].t_ns == -8.0
