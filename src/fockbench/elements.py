@@ -146,10 +146,9 @@ def apply_eop(state: FockState, mode_v: ModeId) -> FockState:
     return state._replace(out)
 
 
-def apply_element(state: FockState, element: Element, armed: bool = False) -> FockState:
-    """Run one element; a Pockels cell acts only when ``armed``."""
-    if element.kind is ElementKind.POCKELS_CELL:
-        return apply_eop(state, ModeId(element.paths[0], V)) if armed else state
+def apply_element(state: FockState, element: Element) -> FockState:
+    """Run one element's actions.  A Pockels cell has none, so it passes the
+    state through disarmed; ``apply_eop`` is the armed cell."""
     for act in element.actions:
         if act.kind == "u2":
             state = fock.apply_two_mode_unitary(state, act.modes[0], act.modes[1], act.matrix)

@@ -6,9 +6,9 @@ samples Bob's verification detectors.  Idle outcomes (no Alice click, or an
 Alice click with no Bob click) are discarded the way the bench's coincidence
 circuit discards them.
 
-The bench upstream of the detectors is linear optics on two photons, so an
-engine composes its single-photon transfer matrices, once per sweep and
-once per shot, updating the columns each element touches in place
+The bench upstream of the detectors is linear optics on two photons, so
+``count_tables`` composes its single-photon transfer matrices, once per
+sweep and once per shot, updating the columns each element touches in place
 (``elements.transfer_matrix``), and every two-photon amplitude is a 2x2
 permanent of them.  Summed over the modes of each detector class, the
 permanents' squares reduce to products of small per-class Gram matrices of
@@ -206,7 +206,7 @@ def position_from_phase(phi: float, lambda_meters: float) -> float:
 
 
 # ----------------------------------------------------------------------
-# engine
+# exact click tables
 
 
 def _require_protocol_bench(bench: Bench) -> int:
@@ -265,98 +265,87 @@ def _gram_coefficients() -> np.ndarray:
 _W_K0, _W_K1, _W_K2 = _gram_coefficients()
 
 
-class _TransferEngine:
-    """The bench as composed single-photon transfer matrices, for any phase.
+def count_tables(bench: Bench, phis, sigma: float = 0.0, theta: float = 0.0) -> np.ndarray:
+    """(2, P, 9, 9) joint photon counts through ``bench`` at each phase of
+    ``phis``, cell disarmed ([0]) and fired ([1]).
 
-    Everything upstream of the detectors is linear optics on the two source
-    photons, so every output amplitude is a 2x2 permanent of the composed
-    single-photon matrix (rows: input modes, columns: output modes; see S.
-    Scheel, quant-ph/0406127).  The knob phase is the only part of that
-    matrix that varies across a sweep, so the matrices before the knob,
-    from the knob to the Pockels cell and after the cell are each composed
-    once, by ``elements.transfer_matrix``: one identity per slice whose
-    columns every splitter, phase and mode permutation updates in place.
+    Rows index Alice's counts n(D1) + 3 n(D2), columns Bob's n(D1*) +
+    3 n(D2*).  Everything upstream of the detectors is linear optics on the
+    two source photons, so every output amplitude is a 2x2 permanent of the
+    composed single-photon matrix (rows: input modes, columns: output modes;
+    see S. Scheel, quant-ph/0406127).  The knob phase is the only part of
+    that matrix that varies across ``phis``, so the pipeline before the
+    knob, from the knob to the Pockels cell and after the cell are each
+    composed once, by ``elements.transfer_matrix``.
+
+    The channel phase is theta; ``sigma`` > 0 averages a further
+    t ~ N(0, sigma^2) exactly.  Each photon's amplitude splits at the cell's
+    V mode into p + e^{it} q (q changes sign when the cell fires), so the
+    count tables are bilinear in the per-class Grams of (p1, p2, q1, q2)
+    (see ``_gram_coefficients``): E[e^{it}] = exp(-sigma^2 / 2) damps their
+    terms odd in q and E[e^{2it}] = exp(-2 sigma^2) the q-squared cross
+    terms.
     """
-
-    def __init__(self, bench: Bench):
-        self.bench = bench
-        eop = _require_protocol_bench(bench)
-        knob = bench.knob_index
-        modes, pipeline = bench.modes, bench.pipeline
-        idx = {m: i for i, m in enumerate(modes)}
-        sources = [idx[m] for m in bench.sources]
-
-        self.before_knob = transfer_matrix(pipeline[:knob], modes)[sources]  # (2, n)
-        knob_path = pipeline[knob].paths[0]
-        self.knob_modes = np.array([float(m.path == knob_path) for m in modes])
-        self.to_cell = transfer_matrix(pipeline[knob + 1 : eop], modes)
-        self.after_cell = transfer_matrix(pipeline[eop + 1 :], modes)
-        self.channel = idx[ModeId(pipeline[eop].paths[0], Polarization.V)]
-
-        # (n, 5) one-hot detector class of each mode, ordered as _CLASS_COUNTS
-        protocol_modes = [bench.detectors[d] for d in ALICE_DETECTORS + BOB_DETECTORS]
-        cls = [protocol_modes.index(m) + 1 if m in protocol_modes else 0 for m in modes]
-        self.classes = np.eye(5)[cls]
-
-    def at_cell(self, phis) -> np.ndarray:
-        """(P, 2, n): each source photon's amplitudes just before the cell."""
-        knob = np.exp(1j * np.multiply.outer(np.asarray(phis, dtype=float), self.knob_modes))
-        return (self.before_knob * knob[:, None, :]) @ self.to_cell
-
-    def count_tables(self, phis, sigma: float = 0.0, theta: float = 0.0) -> np.ndarray:
-        """(2, P, 9, 9) joint photon counts, cell disarmed ([0]) and fired ([1]).
-
-        Rows index Alice's counts n(D1) + 3 n(D2), columns Bob's n(D1*) +
-        3 n(D2*).  The channel phase is theta; ``sigma`` > 0 averages a
-        further t ~ N(0, sigma^2) exactly.  Each photon's amplitude splits
-        at the cell's V mode into p + e^{it} q (q changes sign when the cell
-        fires), so the count tables are bilinear in the per-class Grams of
-        (p1, p2, q1, q2) (see ``_gram_coefficients``): E[e^{it}] =
-        exp(-sigma^2 / 2) damps their terms odd in q and E[e^{2it}] =
-        exp(-2 sigma^2) the q-squared cross terms.
-        """
-        u = self.at_cell(phis)
-        ch = self.channel
-        rest = u.copy()
-        rest[..., ch] = 0.0
-        p = rest @ self.after_cell  # every path but the one through the channel mode
-        q = (u[..., ch, None] * np.exp(1j * theta)) * self.after_cell[ch]
-        v = np.concatenate([p, q], axis=1)  # (P, 4, n)
-        outer = (v[:, :, None, :] * v.conj()[:, None, :, :]).reshape(len(u), 16, -1)
-        gram = (outer @ self.classes).swapaxes(-1, -2)  # (P, 5, 16)
-        odd = math.exp(-0.5 * sigma**2) * _W_K1
-        even = _W_K0 + math.exp(-2.0 * sigma**2) * _W_K2
-        coef = np.stack([even + odd, even - odd])  # (2, 16, 16)
-        tables = ((gram.reshape(-1, 16) @ coef).reshape(2, len(u), 5, 16)
-                  @ gram.swapaxes(-1, -2)).real  # (2, P, 5, 5)
-        return (tables.reshape(2, len(u), 25) @ _CLASS_PAIR_TO_COUNTS).reshape(2, len(u), 9, 9)
+    cell = _require_protocol_bench(bench)
+    knob, modes, pipeline = bench.knob_index, bench.modes, bench.pipeline
+    idx = {m: i for i, m in enumerate(modes)}
+    knob_path = pipeline[knob].paths[0]
+    knob_modes = np.array([float(m.path == knob_path) for m in modes])
+    phase = np.exp(1j * np.multiply.outer(np.asarray(phis, dtype=float), knob_modes))
+    before_knob = transfer_matrix(pipeline[:knob], modes)[[idx[m] for m in bench.sources]]
+    # (P, 2, n): each source photon's amplitudes just before the cell
+    u = (before_knob * phase[:, None, :]) @ transfer_matrix(pipeline[knob + 1 : cell], modes)
+    after_cell = transfer_matrix(pipeline[cell + 1 :], modes)
+    ch = idx[ModeId(pipeline[cell].paths[0], Polarization.V)]
+    rest = u.copy()
+    rest[..., ch] = 0.0
+    p = rest @ after_cell  # every path but the one through the channel mode
+    q = (u[..., ch, None] * np.exp(1j * theta)) * after_cell[ch]
+    v = np.concatenate([p, q], axis=1)  # (P, 4, n)
+    outer = (v[:, :, None, :] * v.conj()[:, None, :, :]).reshape(len(u), 16, -1)
+    # (n, 5) one-hot detector class of each mode, ordered as _CLASS_COUNTS
+    protocol_modes = [bench.detectors[d] for d in ALICE_DETECTORS + BOB_DETECTORS]
+    classes = np.eye(5)[[protocol_modes.index(m) + 1 if m in protocol_modes else 0
+                         for m in modes]]
+    gram = (outer @ classes).swapaxes(-1, -2)  # (P, 5, 16)
+    # not sigma**2, which raises OverflowError for a huge sigma: the product
+    # overflows to inf instead, and exp(-inf) = 0 dephases fully
+    var = sigma * sigma
+    odd = math.exp(-0.5 * var) * _W_K1
+    even = _W_K0 + math.exp(-2.0 * var) * _W_K2
+    coef = np.stack([even + odd, even - odd])  # (2, 16, 16)
+    tables = ((gram.reshape(-1, 16) @ coef).reshape(2, len(u), 5, 16)
+              @ gram.swapaxes(-1, -2)).real  # (2, P, 5, 5)
+    return (tables.reshape(2, len(u), 25) @ _CLASS_PAIR_TO_COUNTS).reshape(2, len(u), 9, 9)
 
 
-def click_tables(eng: _TransferEngine, phis, noise: NoiseModel) -> np.ndarray:
-    """(2, P, 4, 4) exact (Alice, Bob) click-pattern probabilities at each
-    phase, cell disarmed ([0]) and fired ([1]).
+def click_tables(bench: Bench, phis, noise: NoiseModel) -> np.ndarray:
+    """(2, P, 4, 4) exact (Alice, Bob) click-pattern probabilities through
+    ``bench`` at each phase, cell disarmed ([0]) and fired ([1]).
 
     Rows index Alice's pattern and columns Bob's, both as click1 + 2 * click2
     over (D1, D2) and (D1*, D2*); each table sums to 1.  The dephasing phase
-    and the detectors are averaged out in closed form.  Firing the cell acts
-    on Bob's side only, so both tables have the same row sums.
+    (``count_tables``) and the detectors (``noise.click_table``) are averaged
+    out in closed form.  Firing the cell acts on Bob's side only, so both
+    tables have the same row sums.
     """
     clicks = click_table(noise)
-    return clicks.T @ eng.count_tables(phis, noise.dephasing_sigma) @ clicks
+    return clicks.T @ count_tables(bench, phis, noise.dephasing_sigma) @ clicks
 
 
-def outcome_distribution(eng: _TransferEngine, cfg: RunConfig) -> np.ndarray:
-    """Exact (P, 4, 4) probability of every (Alice, Bob) click pattern at
-    each phase of ``cfg.phi_grid``, indexed as in ``click_tables``.
+def outcome_distribution(bench: Bench, cfg: RunConfig) -> np.ndarray:
+    """Exact (P, 4, 4) probability of every (Alice, Bob) click pattern
+    through ``bench`` at each phase of ``cfg.phi_grid``, indexed as in
+    ``click_tables``.
 
-    The jittered race is averaged out too.  The coincidence circuit keeps
-    the rows ``KEPT_PATTERNS`` (exactly one Alice click: the D1 or D2
-    trigger) and columns 1-3 (any Bob click).
+    The jittered race over the bench's delay line is averaged out too.  The
+    coincidence circuit keeps the rows ``KEPT_PATTERNS`` (exactly one Alice
+    click: the D1 or D2 trigger) and columns 1-3 (any Bob click).
     """
     p_arm = 0.0
     if cfg.mode is RunMode.ACTIVE:
-        p_arm = cfg.timing.arming_probability(eng.bench.delay_m)
-    unfired, fired = click_tables(eng, cfg.phi_grid, cfg.noise)
+        p_arm = cfg.timing.arming_probability(bench.delay_m)
+    unfired, fired = click_tables(bench, cfg.phi_grid, cfg.noise)
     row = FIRING_PATTERN
     unfired[:, row] += p_arm * (fired[:, row] - unfired[:, row])
     return unfired
@@ -376,8 +365,7 @@ def run_trial(
     bench: Bench, phi: float, cfg: RunConfig, rng: np.random.Generator
 ) -> TrialRecord:
     """One complete shot through ``bench`` at ``phi``, with the full event log."""
-    eng = _TransferEngine(bench)
-    unfired, fired_table = click_tables(eng, (phi,), cfg.noise)[:, 0]
+    unfired, fired_table = click_tables(bench, (phi,), cfg.noise)[:, 0]
 
     # Alice's Bell measurement
     alice = _draw(np.cumsum(unfired.sum(axis=1)), rng.random())
@@ -417,7 +405,7 @@ def run_sweep(
     if workers < 1:
         raise BadParam(f"workers must be >= 1, got {workers}")
     grid = cfg.phi_grid
-    tables = outcome_distribution(_TransferEngine(bench), cfg)
+    tables = outcome_distribution(bench, cfg)
     # (D1, D2 trigger) x (Bob D1* only, D2* only, both), then discarded
     cells = np.maximum(tables[:, KEPT_PATTERNS, 1:], 0.0).reshape(len(grid), 6)
     ps = np.concatenate([cells, 1.0 - cells.sum(axis=1, keepdims=True)], axis=1)

@@ -5,7 +5,7 @@ import pytest
 
 from fockbench import __version__
 from fockbench.bench import figure1_text
-from fockbench.cli import build_parser, main, sparkline
+from fockbench.cli import _RUN_FLAGS, build_parser, main, sparkline
 from fockbench.protocol import PAIR_NAMES
 
 DATA = Path(__file__).parent / "data"
@@ -59,6 +59,11 @@ UNFIT_EDITS = [
                  "--input-theta needs a bench with a splitter feeding the phase knob",
                  id="input-theta-no-feeding-splitter"),
 ]
+
+
+#: every float run flag; huge int flags are left out, as --phi-steps sizes
+#: the tables (several KiB per phase point)
+FLOAT_RUN_FLAGS = [key for key, (kind, _, _) in _RUN_FLAGS.items() if kind is float]
 
 
 class TestRun:
@@ -167,6 +172,24 @@ class TestRun:
         manifest = tmp_path / "a" / "manifest.txt"
         assert err.startswith(f"error: manifest {manifest}: ") and err.count("\n") == 1
         assert not (tmp_path / "b" / "fringe.csv").exists()
+
+    @pytest.mark.parametrize("key", FLOAT_RUN_FLAGS)
+    def test_huge_float_flag_exits_0_or_2(self, tmp_path, capsys, key):
+        # the active run with an event log reaches the race and a shot too;
+        # an uncaught exception (a traceback and exit 1 from a shell) fails here
+        code = run_cli("run", "--mode", "active", "--log-events", "--trials", "50",
+                       "--phi-steps", "5", "--" + key.replace("_", "-"), "1e308",
+                       "--out", str(tmp_path))
+        err = capsys.readouterr().err
+        assert code in (0, 2)
+        assert err.count("error:") <= 1 and "internal error" not in err
+
+    @pytest.mark.parametrize("key", FLOAT_RUN_FLAGS)
+    def test_huge_float_manifest_value_exits_0_or_3(self, tmp_path, capsys, key):
+        code, err = rerun_with_manifest_value(tmp_path, capsys, key, "1e308",
+                                              "--mode", "active")
+        assert code in (0, 3)
+        assert err.count("error:") <= 1 and "internal error" not in err
 
     @pytest.mark.parametrize("key", ["seed", "mode", "trials", "phi_steps", "qe"])
     def test_empty_manifest_value_exits_3(self, tmp_path, capsys, key):

@@ -90,7 +90,7 @@ class TestEop:
 
     def test_disarmed_is_identity(self):
         st, _, _ = self.qubit()
-        out = apply_element(st, pockels_cell(0), armed=False)
+        out = apply_element(st, pockels_cell(0))
         assert out.amplitudes == st.amplitudes
 
     def test_h_mode_rejected(self):

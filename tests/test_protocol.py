@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fockbench.elements import transfer_matrix
+from fockbench.elements import phase_shifter, transfer_matrix
 from fockbench.errors import BadParam, ProtocolError
+from fockbench.fock import ModeId, Polarization
 from fockbench.noise import NoiseModel
 from fockbench.protocol import (
     ALICE_PATTERNS,
@@ -17,9 +18,10 @@ from fockbench.protocol import (
     BellOutcome,
     RunConfig,
     RunMode,
-    _TransferEngine,
+    _require_protocol_bench,
     analytic_coincidences,
     click_tables,
+    count_tables,
     default_phi_grid,
     outcome_distribution,
     phase_from_position,
@@ -175,23 +177,27 @@ class TestRunTrial:
 
 def alice_marginal(bench, phi):
     """Probability of Alice's photon counts, indexed n(D1) + 3 n(D2)."""
-    return _TransferEngine(bench).count_tables((phi,))[0, 0].sum(axis=1)
+    return count_tables(bench, (phi,))[0, 0].sum(axis=1)
 
 
 class TestCorrectionClosure:
     @pytest.mark.parametrize("phi", [0.0, 0.7, 2.2, 4.5])
     def test_sigma_z_restores_the_psi3_branch_state(self, bench, phi):
         # amplitude of one photon at an Alice detector and one in mode k,
-        # just before the cell: a 2x2 permanent of the source rows
-        eng = _TransferEngine(bench)
-        u = eng.at_cell((phi,))[0]
+        # just before the cell: a 2x2 permanent of the source rows of the
+        # transfer matrix of the pipeline up to the cell, the knob set to phi
+        cell = _require_protocol_bench(bench)
+        upstream = [phase_shifter(e.paths[0], phi, knob=True) if e.is_knob else e
+                    for e in bench.pipeline[:cell]]
         idx = {m: i for i, m in enumerate(bench.modes)}
+        u = composed_matrix(upstream, bench.modes)[[idx[m] for m in bench.sources]]
         d1, d2 = idx[bench.detectors["D1"]], idx[bench.detectors["D2"]]
+        channel = idx[ModeId(bench.pipeline[cell].paths[0], Polarization.V)]
 
         def bob_restriction(alice, fire):
             amps = u[0, alice] * u[1] + u[1, alice] * u[0]
             if fire:
-                amps[eng.channel] = -amps[eng.channel]
+                amps[channel] = -amps[channel]
             return np.delete(amps, [d1, d2])
 
         uncorrected = bob_restriction(d1, fire=False)
@@ -247,7 +253,7 @@ class TestRunSweep:
         # adjacent points uncorrelated (a shifted row or a reused stream fails)
         cfg = RunConfig(mode=RunMode.ACTIVE, trials_per_phi=2000, noise=FULL_NOISE,
                         timing=JITTERED, phi_grid=default_phi_grid(9))
-        cells = outcome_distribution(_TransferEngine(bench), cfg)[:, 1:3, 1:]
+        cells = outcome_distribution(bench, cfg)[:, 1:3, 1:]
         p = np.column_stack([cells.sum(axis=(1, 2)),
                              (cells[:, :, :2] + cells[:, :, 2:]).reshape(-1, 4)])
         n = cfg.trials_per_phi
@@ -367,7 +373,7 @@ def protocol_bench(which, builtin):
 def fock_click_table(bench, phi, armed):
     """Independent derivation: propagate the Fock state through the whole
     pipeline, the cell disarmed or armed, and read off the ideal click table."""
-    from fockbench.elements import apply_element, phase_shifter
+    from fockbench.elements import ElementKind, apply_element, apply_eop
     from fockbench.fock import create_photon, make_vacuum
 
     det = [bench.modes.index(bench.detectors[d]) for d in ("D1", "D2", "D1*", "D2*")]
@@ -377,7 +383,9 @@ def fock_click_table(bench, phi, armed):
     for e in bench.pipeline:
         if e.is_knob:
             e = phase_shifter(e.paths[0], phi, knob=True)
-        st = apply_element(st, e, armed=armed)
+        st = apply_element(st, e)
+        if armed and e.kind is ElementKind.POCKELS_CELL:
+            st = apply_eop(st, ModeId(e.paths[0], Polarization.V))
     out = np.zeros((4, 4))
     for occ, amp in st.amplitudes.items():
         hit = [occ[i] > 0 for i in det]
@@ -387,7 +395,7 @@ def fock_click_table(bench, phi, armed):
 
 def table(bench, phi, mode, noise=FULL_NOISE, timing=JITTERED):
     cfg = RunConfig(mode=mode, noise=noise, timing=timing, phi_grid=(phi,))
-    return outcome_distribution(_TransferEngine(bench), cfg)[0]
+    return outcome_distribution(bench, cfg)[0]
 
 
 class TestOutcomeDistribution:
@@ -421,13 +429,19 @@ class TestOutcomeDistribution:
             assert b0 + b1 == pytest.approx(s0 + s1, abs=1e-12)
             assert b0 - b1 == pytest.approx(math.exp(-sigma**2 / 2) * (s0 - s1), abs=1e-12)
 
+    def test_a_sigma_too_large_to_square_dephases_fully(self, bench):
+        # 1e200 squared overflows a float; sigma 40 already damps both
+        # coherence factors to exactly 0
+        phis = default_phi_grid(9)
+        huge = count_tables(bench, phis, sigma=1e200)
+        assert np.array_equal(huge, count_tables(bench, phis, sigma=40.0))
+
     @pytest.mark.parametrize("phi", [0.6, 2.4])
     def test_chi_square_against_run_trial_shots(self, bench, phi):
         # run_trial draws the jittered race itself and Bob's pattern given
         # Alice's; the closed form mixes the fired and disarmed tables instead
         cfg = RunConfig(mode=RunMode.ACTIVE, trials_per_phi=1, noise=FULL_NOISE,
                         timing=JITTERED, phi_grid=(phi,))
-        eng = _TransferEngine(bench)
         rng = np.random.default_rng(1234)
         shots = 10_000
         observed = np.zeros((4, 4))
@@ -435,7 +449,7 @@ class TestOutcomeDistribution:
             rec = run_trial(bench, phi, cfg, rng)
             a, b = rec.alice_clicks.clicks, rec.bob_clicks.clicks
             observed[a["D1"] + 2 * a["D2"], b["D1*"] + 2 * b["D2*"]] += 1
-        expected = shots * outcome_distribution(eng, cfg)[0]
+        expected = shots * outcome_distribution(bench, cfg)[0]
         small = expected < 5  # pooled into one cell
         obs = np.append(observed[~small], observed[small].sum())
         exp = np.append(expected[~small], expected[small].sum())
@@ -462,14 +476,14 @@ class TestOutcomeDistribution:
         # Gauss-Hermite quadrature of the explicit-theta tables over
         # theta ~ N(0, sigma^2) against the closed-form average, on a bench
         # where the channel carries 0, 1 or 2 photons and on generated ones
-        eng = _TransferEngine(protocol_bench(which, bench))
+        bench = protocol_bench(which, bench)
         phis, sigma = (0.4, 2.9), 0.7
         x, w = np.polynomial.hermite.hermgauss(60)
-        quad = sum(wi * eng.count_tables(phis, theta=math.sqrt(2) * sigma * xi)[fired]
+        quad = sum(wi * count_tables(bench, phis, theta=math.sqrt(2) * sigma * xi)[fired]
                    for xi, wi in zip(x, w)) / math.sqrt(math.pi)
-        exact = eng.count_tables(phis, sigma=sigma)[fired]
+        exact = count_tables(bench, phis, sigma=sigma)[fired]
         assert np.abs(quad - exact).max() < 1e-12
-        assert np.abs(exact - eng.count_tables(phis)[fired]).max() > 1e-3
+        assert np.abs(exact - count_tables(bench, phis)[fired]).max() > 1e-3
 
     @pytest.mark.parametrize("which", ["builtin", "bunching"])
     def test_firing_leaves_alices_marginal_unchanged(self, bench, which):
@@ -479,19 +493,18 @@ class TestOutcomeDistribution:
 
         if which == "bunching":
             bench = parse(BUNCHING_BENCH)
-        unfired, fired = click_tables(_TransferEngine(bench), default_phi_grid(9), FULL_NOISE)
+        unfired, fired = click_tables(bench, default_phi_grid(9), FULL_NOISE)
         assert np.abs(unfired.sum(axis=-1) - fired.sum(axis=-1)).max() <= 1e-15
         assert np.abs(unfired - fired).max() > 0.01
 
     def test_batched_grid_equals_one_phase_at_a_time(self, bench):
-        eng = _TransferEngine(bench)
         cfg = RunConfig(mode=RunMode.ACTIVE, noise=FULL_NOISE, timing=JITTERED)
-        batched = outcome_distribution(eng, cfg)
+        batched = outcome_distribution(bench, cfg)
         assert batched.shape == (len(cfg.phi_grid), 4, 4)
         for i, phi in enumerate(cfg.phi_grid):
             one = RunConfig(mode=RunMode.ACTIVE, noise=FULL_NOISE, timing=JITTERED,
                             phi_grid=(phi,))
-            assert np.abs(batched[i] - outcome_distribution(eng, one)[0]).max() <= 1e-15
+            assert np.abs(batched[i] - outcome_distribution(bench, one)[0]).max() <= 1e-15
 
     def test_sweep_point_memory_does_not_grow_with_trials(self, bench):
         def peak(trials):
@@ -513,7 +526,7 @@ class TestOutcomeDistribution:
         cfg = RunConfig(mode=RunMode.ACTIVE, noise=FULL_NOISE,
                         timing=TimingModel(jitter_sigma_ns=1.5))
         want = np.loadtxt(DATA / "outcome_distribution.txt").reshape(-1, 4, 4)
-        got = outcome_distribution(_TransferEngine(bench), cfg)
+        got = outcome_distribution(bench, cfg)
         assert np.abs(got - want).max() <= 1e-14
 
 
