@@ -131,12 +131,12 @@ class FringeData:
     trials_total: np.ndarray
 
     def to_csv(self) -> str:
-        counts = [self.counts[pair].tolist() for pair in PAIR_NAMES]
-        kept, total = self.trials_kept.tolist(), self.trials_total.tolist()
+        counts = zip(*(self.counts[pair].tolist() for pair in PAIR_NAMES))
         lines = [CSV_HEADER]
-        for i, phi in enumerate(self.phi_grid):
-            for pair, c in zip(PAIR_NAMES, counts):
-                lines.append(f"{phi:.17g},{pair},{c[i]},{kept[i]},{total[i]}")
+        for phi, row, kept, total in zip(self.phi_grid, counts, self.trials_kept.tolist(),
+                                         self.trials_total.tolist()):
+            head, tail = f"{phi:.17g},", f",{kept},{total}"
+            lines += [f"{head}{pair},{c}{tail}" for pair, c in zip(PAIR_NAMES, row)]
         return "\n".join(lines) + "\n"
 
     @classmethod

@@ -1,4 +1,6 @@
 import math
+import os
+import stat
 from pathlib import Path
 
 import pytest
@@ -6,7 +8,7 @@ import pytest
 from fockbench import __version__
 from fockbench.bench import figure1_text
 from fockbench.cli import _RUN_FLAGS, build_parser, main, sparkline
-from fockbench.protocol import PAIR_NAMES
+from fockbench.protocol import CSV_HEADER, PAIR_NAMES, default_phi_grid
 
 DATA = Path(__file__).parent / "data"
 
@@ -343,6 +345,94 @@ class TestRun:
         assert fit.visibility == pytest.approx(math.sin(2.8), abs=0.03)
 
 
+def inodes(directory, names):
+    return {name: (directory / name).stat().st_ino for name in names}
+
+
+def read_all(directory, names):
+    return {name: (directory / name).read_bytes() for name in names}
+
+
+class TestOutputFiles:
+    """A rerun into an existing --out rewrites its files in place."""
+
+    RUN_FILES = ("fringe.csv", "manifest.txt", "events.csv")
+    PAPER_FILES = ("passive.csv", "inhibited.csv", "active.csv")
+
+    def test_run_rerun_rewrites_in_place_and_cuts_the_tail(self, tmp_path):
+        run = ("run", "--mode", "active", "--trials", "50", "--log-events")
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        assert run_cli(*run, "--phi-steps", "25", "--out", str(out)) == 0
+        before, long_csv = inodes(out, self.RUN_FILES), (out / "fringe.csv").read_bytes()
+        assert run_cli(*run, "--phi-steps", "5", "--out", str(out)) == 0
+        assert run_cli(*run, "--phi-steps", "5", "--out", str(fresh)) == 0
+        assert read_all(out, self.RUN_FILES) == read_all(fresh, self.RUN_FILES)
+        assert len((out / "fringe.csv").read_bytes()) < len(long_csv)
+        assert inodes(out, self.RUN_FILES) == before
+
+    def test_reproduce_paper_rerun_rewrites_in_place_and_cuts_the_tail(self, tmp_path):
+        rep = ("reproduce-paper", "--trials", "1000")
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        assert run_cli(*rep, "--phi-steps", "9", "--out", str(out)) == 0
+        before, long_csvs = inodes(out, self.PAPER_FILES), read_all(out, self.PAPER_FILES)
+        assert run_cli(*rep, "--phi-steps", "5", "--out", str(out)) == 0
+        assert run_cli(*rep, "--phi-steps", "5", "--out", str(fresh)) == 0
+        rewritten = read_all(out, self.PAPER_FILES)
+        assert rewritten == read_all(fresh, self.PAPER_FILES)
+        assert all(len(rewritten[n]) < len(long_csvs[n]) for n in self.PAPER_FILES)
+        assert inodes(out, self.PAPER_FILES) == before
+
+    def test_outputs_are_opened_without_truncation(self, tmp_path, monkeypatch):
+        # cutting a file to zero before rewriting it makes ext4 flush it on close
+        opened = {}
+        real_open = os.open
+
+        def spy(path, flags, *args, **kwargs):
+            opened[Path(path).name] = flags
+            return real_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", spy)
+        assert run_cli("run", "--trials", "50", "--phi-steps", "5", "--log-events",
+                       "--out", str(tmp_path / "run")) == 0
+        assert run_cli("reproduce-paper", "--trials", "1000", "--phi-steps", "5",
+                       "--out", str(tmp_path / "paper")) == 0
+        assert sorted(opened) == sorted(self.RUN_FILES + self.PAPER_FILES)
+        assert not any(flags & os.O_TRUNC for flags in opened.values())
+
+    def test_symlinked_output_writes_through_the_link(self, tmp_path):
+        out, fresh, target = tmp_path / "out", tmp_path / "fresh", tmp_path / "target.csv"
+        target.write_text("x" * 100_000)  # longer than the run's CSV
+        out.mkdir()
+        (out / "fringe.csv").symlink_to(target)
+        run = ("run", "--trials", "50", "--phi-steps", "5")
+        assert run_cli(*run, "--out", str(out)) == 0
+        assert run_cli(*run, "--out", str(fresh)) == 0
+        assert (out / "fringe.csv").is_symlink()
+        assert target.read_bytes() == (fresh / "fringe.csv").read_bytes()
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o000])
+    def test_new_files_get_the_permissions_of_write_text(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            (tmp_path / "reference.txt").write_text("x")
+            assert run_cli("run", "--trials", "50", "--phi-steps", "5", "--log-events",
+                           "--out", str(tmp_path / "out")) == 0
+        finally:
+            os.umask(old)
+        want = stat.S_IMODE((tmp_path / "reference.txt").stat().st_mode)
+        for name in self.RUN_FILES:
+            assert stat.S_IMODE((tmp_path / "out" / name).stat().st_mode) == want
+
+    @pytest.mark.parametrize("command", ["run", "reproduce-paper"])
+    def test_out_that_is_a_regular_file_exits_3(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        out.write_text("not a directory\n")
+        assert run_cli(command, "--trials", "50", "--phi-steps", "5", "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert out.read_text() == "not a directory\n"
+
+
 class TestAnalyze:
     def test_reports_all_pairs(self, tmp_path, capsys):
         run_cli("run", "--trials", "2000", "--phi-steps", "9", "--seed", "1",
@@ -456,6 +546,22 @@ class TestAnalyze:
         capsys.readouterr()
         assert run_cli("analyze", str(csv)) == 3
         assert "trials_kept" in capsys.readouterr().err
+
+    def test_header_sums_huge_trial_totals_exactly(self, tmp_path, capsys):
+        # five phases of 2**63 - 1 trials each: the total is past int64
+        total = 2**63 - 1
+        rows = [CSV_HEADER]
+        for phi in default_phi_grid(5):
+            swing = round(200 * math.cos(phi))
+            for pair, c in zip(PAIR_NAMES, (300 + swing, 300 - swing, 300 - swing,
+                                            300 + swing)):
+                rows.append(f"{phi:.17g},{pair},{c},1000,{total}")
+        csv = tmp_path / "huge.csv"
+        csv.write_text("\n".join(rows) + "\n")
+        assert run_cli("analyze", str(csv)) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert header == f"# {csv}: 5 phase points, 46116860184273879035 trials"
+        assert 5 * total == 46116860184273879035
 
     def test_noiseless_run_beats_bound(self, tmp_path, capsys):
         run_cli("run", "--trials", "5000", "--phi-steps", "9", "--seed", "2",
