@@ -37,17 +37,20 @@ def fit_fringe(phi: np.ndarray, counts: np.ndarray) -> FitResult:
     """Weighted least-squares fit of A (1 + V cos(phi - phi0)) to counts.
 
     Weights are 1/max(count, 1), the binomial/Poisson variance estimate.
-    Needs at least four distinct phase settings.
+    Needs at least four distinct phase settings, all finite.
     """
     phi = np.asarray(phi, dtype=float)
     counts = np.asarray(counts, dtype=float)
     if phi.shape != counts.shape:
         raise BadParam("phi and counts must have the same shape")
-    if len(np.unique(np.round(phi, 12))) < 4:
+    if not np.isfinite(phi).all():
+        raise BadParam("phases must be finite")
+    if len(set(np.round(phi, 12).tolist())) < 4:
         raise FitUnderdetermined("fit needs >= 4 distinct phase settings")
 
     w = 1.0 / np.maximum(counts, 1.0)
-    x = np.column_stack([np.ones_like(phi), np.cos(phi), np.sin(phi)])
+    x = np.empty((len(phi), 3))
+    x[:, 0], x[:, 1], x[:, 2] = 1.0, np.cos(phi), np.sin(phi)
     xtw = x.T * w
     normal = xtw @ x
     try:

@@ -2,8 +2,8 @@
 
 Every element compiles to a short list of primitive actions: a 2x2 unitary
 on a mode pair, a per-mode phase, or a mode permutation.  The same actions
-feed both the Fock-state propagation and the composed single-photon
-transfer matrix behind the protocol engine.
+feed both the Fock-state propagation and the single-photon amplitude rows
+(``_carry_rows``) behind the protocol's count tables and ``transfer_matrix``.
 """
 
 from __future__ import annotations
@@ -159,27 +159,42 @@ def apply_element(state: FockState, element: Element) -> FockState:
     return state
 
 
-def transfer_matrix(elements, modes: tuple[ModeId, ...]) -> np.ndarray:
-    """Creation-operator transfer matrix of a run of elements on ``modes``.
+def _carry_rows(rows: list[list[complex]], elements, idx: dict[ModeId, int]) -> None:
+    """Carry single-photon amplitude rows through a run of elements, in place.
 
-    Rows are input modes, columns output modes, so composing is the
-    left-to-right product; each action updates in place only the columns it
-    touches, starting from one identity.  A Pockels cell has no actions, so
-    it leaves the matrix unchanged: its sigma_z is decided per trial.
+    Each row holds one photon's amplitude in every mode (``idx`` maps a mode
+    to its position), and each action updates only the entries of the modes
+    it touches.  A Pockels cell has no actions, so it leaves the rows
+    unchanged: its sigma_z is decided per trial.
     """
-    idx = {m: i for i, m in enumerate(modes)}
-    mat = np.eye(len(modes), dtype=complex)
     for e in elements:
         for act in e.actions:
             if act.kind == "u2":
                 i1, i2 = idx[act.modes[0]], idx[act.modes[1]]
                 (a, b), (c, d) = act.matrix
-                c1, c2 = mat[:, i1], mat[:, i2]
-                mat[:, i1], mat[:, i2] = a * c1 + c * c2, b * c1 + d * c2
+                for r in rows:
+                    x1, x2 = r[i1], r[i2]
+                    r[i1], r[i2] = a * x1 + c * x2, b * x1 + d * x2
             elif act.kind == "phase":
-                mat[:, idx[act.modes[0]]] *= cmath.exp(1j * act.matrix[0])
+                i, z = idx[act.modes[0]], cmath.exp(1j * act.matrix[0])
+                for r in rows:
+                    r[i] *= z
             elif act.kind == "perm":
                 src = [idx[m] for m, _ in act.mapping]
                 dst = [idx[m] for _, m in act.mapping]
-                mat[:, dst] = mat[:, src]
-    return mat
+                for r in rows:
+                    for j, x in zip(dst, [r[i] for i in src]):
+                        r[j] = x
+
+
+def transfer_matrix(elements, modes: tuple[ModeId, ...]) -> np.ndarray:
+    """Creation-operator transfer matrix of a run of elements on ``modes``.
+
+    Rows are input modes, columns output modes, so composing is the
+    left-to-right product: ``_carry_rows`` carries the n unit rows through
+    the elements.
+    """
+    n = len(modes)
+    rows = [[complex(i == j) for j in range(n)] for i in range(n)]
+    _carry_rows(rows, elements, {m: i for i, m in enumerate(modes)})
+    return np.array(rows)

@@ -7,12 +7,15 @@ Alice click with no Bob click) are discarded the way the bench's coincidence
 circuit discards them.
 
 The bench upstream of the detectors is linear optics on two photons, so
-``count_tables`` composes its single-photon transfer matrices, once per
-sweep and once per shot, updating the columns each element touches in place
-(``elements.transfer_matrix``), and every two-photon amplitude is a 2x2
-permanent of them.  Summed over the modes of each detector class, the
-permanents' squares reduce to products of small per-class Gram matrices of
-the photons' amplitudes.  ``click_tables`` turns these into the exact
+every two-photon amplitude is a 2x2 permanent of the two source photons'
+single-photon amplitude rows.  ``count_tables`` carries just those two rows
+through the pipeline in one pass, updating only the modes each action
+touches (``elements._carry_rows``).  Summed over the modes of each detector
+class, the permanents' squares reduce to products of small per-class Gram
+matrices of the photons' amplitudes.  The knob makes every table a
+trigonometric polynomial of degree at most 2 in the phase, so the Grams are
+contracted at five phase nodes only and the tables of any grid are
+interpolated from them exactly.  ``click_tables`` turns these into the exact
 (Alice, Bob) click-pattern tables of every phase of a grid, with the cell
 disarmed and fired, averaging the dephasing phase and the detectors
 (``noise.click_table``) in closed form.  ``run_sweep`` mixes the two tables
@@ -29,6 +32,7 @@ Fock-state projection.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -37,7 +41,7 @@ import numpy as np
 
 from . import fock
 from .bench import Bench
-from .elements import ElementKind, apply_element, phase_shifter, transfer_matrix
+from .elements import ElementKind, _carry_rows, apply_element, phase_shifter
 from .errors import BadParam, MalformedInput, ProtocolError
 from .fock import ModeId, Polarization
 from .noise import ClickPattern, NoiseModel, click_table
@@ -92,6 +96,11 @@ def default_phi_grid(steps: int = 25) -> tuple[float, ...]:
     return tuple(np.linspace(0.0, 2.0 * math.pi, steps))
 
 
+def _require_finite_phase(phi: float) -> None:
+    if not math.isfinite(phi):
+        raise BadParam(f"phase {phi!r} is not finite")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     mode: RunMode = RunMode.PASSIVE
@@ -107,7 +116,10 @@ class RunConfig:
                            f"got {self.trials_per_phi}")
         if len(self.phi_grid) == 0:
             raise BadParam("phi_grid is empty")
-        object.__setattr__(self, "phi_grid", tuple(float(p) for p in self.phi_grid))
+        grid = tuple(float(p) for p in self.phi_grid)
+        for phi in grid:
+            _require_finite_phase(phi)
+        object.__setattr__(self, "phi_grid", grid)
 
 
 @dataclass
@@ -264,6 +276,10 @@ def _gram_coefficients() -> np.ndarray:
 
 _W_K0, _W_K1, _W_K2 = _gram_coefficients()
 
+#: the five phase nodes 2 pi j / 5 that fix a trigonometric polynomial of
+#: degree 2, and e^{i phi_j} at each
+_NODES = np.exp(2j * np.pi * np.arange(5) / 5)
+
 
 def count_tables(bench: Bench, phis, sigma: float = 0.0, theta: float = 0.0) -> np.ndarray:
     """(2, P, 9, 9) joint photon counts through ``bench`` at each phase of
@@ -272,11 +288,11 @@ def count_tables(bench: Bench, phis, sigma: float = 0.0, theta: float = 0.0) -> 
     Rows index Alice's counts n(D1) + 3 n(D2), columns Bob's n(D1*) +
     3 n(D2*).  Everything upstream of the detectors is linear optics on the
     two source photons, so every output amplitude is a 2x2 permanent of the
-    composed single-photon matrix (rows: input modes, columns: output modes;
-    see S. Scheel, quant-ph/0406127).  The knob phase is the only part of
-    that matrix that varies across ``phis``, so the pipeline before the
-    knob, from the knob to the Pockels cell and after the cell are each
-    composed once, by ``elements.transfer_matrix``.
+    photons' single-photon amplitude rows (see S. Scheel, quant-ph/0406127).
+    One pass over the pipeline carries only those two rows
+    (``elements._carry_rows``).  At the knob each row splits into the part
+    that skips the knob path and the part that takes it, so a photon's
+    amplitude is w0 + e^{i phi} w1 at every phase.
 
     The channel phase is theta; ``sigma`` > 0 averages a further
     t ~ N(0, sigma^2) exactly.  Each photon's amplitude splits at the cell's
@@ -285,38 +301,55 @@ def count_tables(bench: Bench, phis, sigma: float = 0.0, theta: float = 0.0) -> 
     (see ``_gram_coefficients``): E[e^{it}] = exp(-sigma^2 / 2) damps their
     terms odd in q and E[e^{2it}] = exp(-2 sigma^2) the q-squared cross
     terms.
+
+    Amplitudes affine in e^{i phi} make every table a trigonometric
+    polynomial of degree at most 2 in phi.  The Grams are contracted only at
+    the five nodes phi_j = 2 pi j / 5, and the degree-2 Dirichlet kernel
+    (1 + 2 cos d + 2 cos 2d) / 5 carries the node tables exactly to
+    ``phis``; the rounding-level negatives this leaves are clipped to 0.
     """
     cell = _require_protocol_bench(bench)
     knob, modes, pipeline = bench.knob_index, bench.modes, bench.pipeline
     idx = {m: i for i, m in enumerate(modes)}
-    knob_path = pipeline[knob].paths[0]
-    knob_modes = np.array([float(m.path == knob_path) for m in modes])
-    phase = np.exp(1j * np.multiply.outer(np.asarray(phis, dtype=float), knob_modes))
-    before_knob = transfer_matrix(pipeline[:knob], modes)[[idx[m] for m in bench.sources]]
-    # (P, 2, n): each source photon's amplitudes just before the cell
-    u = (before_knob * phase[:, None, :]) @ transfer_matrix(pipeline[knob + 1 : cell], modes)
-    after_cell = transfer_matrix(pipeline[cell + 1 :], modes)
+    n = len(modes)
+    rows = [[complex(m == source) for m in modes] for source in bench.sources]
+    _carry_rows(rows, pipeline[:knob], idx)
+    # w0 of both photons, then w1: amplitude = w0 + e^{i phi} w1
+    on_knob = [m.path == pipeline[knob].paths[0] for m in modes]
+    rows = ([[0j if k else x for x, k in zip(r, on_knob)] for r in rows]
+            + [[x if k else 0j for x, k in zip(r, on_knob)] for r in rows])
+    _carry_rows(rows, pipeline[knob + 1 : cell], idx)
+    # p: every mode but the channel mode; q: the channel mode's own row
     ch = idx[ModeId(pipeline[cell].paths[0], Polarization.V)]
-    rest = u.copy()
-    rest[..., ch] = 0.0
-    p = rest @ after_cell  # every path but the one through the channel mode
-    q = (u[..., ch, None] * np.exp(1j * theta)) * after_cell[ch]
-    v = np.concatenate([p, q], axis=1)  # (P, 4, n)
-    outer = (v[:, :, None, :] * v.conj()[:, None, :, :]).reshape(len(u), 16, -1)
+    at_channel = [r[ch] for r in rows]
+    for r in rows:
+        r[ch] = 0j
+    rows.append([complex(j == ch) for j in range(n)])
+    _carry_rows(rows, pipeline[cell + 1 :], idx)
+    w = np.array(rows)
+    c = np.array(at_channel) * cmath.exp(1j * theta)
+    # (5, 4, n): (p1, p2, q1, q2) at each node
+    p = w[:2] + _NODES[:, None, None] * w[2:4]
+    q = (c[:2] + _NODES[:, None] * c[2:])[..., None] * w[4]
+    v = np.concatenate([p, q], axis=1)
+    outer = (v[:, :, None, :] * v.conj()[:, None, :, :]).reshape(5, 16, n)
     # (n, 5) one-hot detector class of each mode, ordered as _CLASS_COUNTS
-    protocol_modes = [bench.detectors[d] for d in ALICE_DETECTORS + BOB_DETECTORS]
-    classes = np.eye(5)[[protocol_modes.index(m) + 1 if m in protocol_modes else 0
-                         for m in modes]]
-    gram = (outer @ classes).swapaxes(-1, -2)  # (P, 5, 16)
+    detector_class = {bench.detectors[d]: k
+                      for k, d in enumerate(ALICE_DETECTORS + BOB_DETECTORS, start=1)}
+    classes = np.eye(5)[[detector_class.get(m, 0) for m in modes]]
+    gram = (outer @ classes).swapaxes(-1, -2)  # (5, 5, 16)
     # not sigma**2, which raises OverflowError for a huge sigma: the product
     # overflows to inf instead, and exp(-inf) = 0 dephases fully
     var = sigma * sigma
     odd = math.exp(-0.5 * var) * _W_K1
     even = _W_K0 + math.exp(-2.0 * var) * _W_K2
     coef = np.stack([even + odd, even - odd])  # (2, 16, 16)
-    tables = ((gram.reshape(-1, 16) @ coef).reshape(2, len(u), 5, 16)
-              @ gram.swapaxes(-1, -2)).real  # (2, P, 5, 5)
-    return (tables.reshape(2, len(u), 25) @ _CLASS_PAIR_TO_COUNTS).reshape(2, len(u), 9, 9)
+    nodes = ((gram.reshape(-1, 16) @ coef).reshape(2, 5, 5, 16)
+             @ gram.swapaxes(-1, -2)).real.reshape(2, 5, 25) @ _CLASS_PAIR_TO_COUNTS
+    # e^{i (phi - phi_j)} for every phase and node
+    u = np.multiply.outer(np.exp(1j * np.asarray(phis, dtype=float)), _NODES.conj())
+    kernel = (1.0 + 2.0 * (u + u * u).real) / 5.0  # (P, 5)
+    return np.maximum(kernel @ nodes, 0.0).reshape(2, len(kernel), 9, 9)
 
 
 def click_tables(bench: Bench, phis, noise: NoiseModel) -> np.ndarray:
@@ -365,6 +398,7 @@ def run_trial(
     bench: Bench, phi: float, cfg: RunConfig, rng: np.random.Generator
 ) -> TrialRecord:
     """One complete shot through ``bench`` at ``phi``, with the full event log."""
+    _require_finite_phase(phi)
     unfired, fired_table = click_tables(bench, (phi,), cfg.noise)[:, 0]
 
     # Alice's Bell measurement
@@ -407,7 +441,7 @@ def run_sweep(
     grid = cfg.phi_grid
     tables = outcome_distribution(bench, cfg)
     # (D1, D2 trigger) x (Bob D1* only, D2* only, both), then discarded
-    cells = np.maximum(tables[:, KEPT_PATTERNS, 1:], 0.0).reshape(len(grid), 6)
+    cells = tables[:, KEPT_PATTERNS, 1:].reshape(len(grid), 6)
     ps = np.concatenate([cells, 1.0 - cells.sum(axis=1, keepdims=True)], axis=1)
     rng = np.random.Generator(np.random.PCG64(seed))
     draws = rng.multinomial(cfg.trials_per_phi, ps)[:, :-1].reshape(len(grid), 2, 3)

@@ -2,7 +2,8 @@
 
 Composes a pipeline's single-photon transfer matrix as the product of its
 per-element matrices (``elements.transfer_matrix`` of one element each, so
-the association order differs from the engine's single pass over a slice)
+the association order differs from ``count_tables``' single pass over the
+pipeline, though both read the elements' actions through one row update)
 and derives every multi-photon amplitude from a matrix permanent, never
 touching the Fock-state expansion of ``fock.apply_two_mode_unitary``:
 

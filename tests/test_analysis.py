@@ -55,6 +55,20 @@ class TestFitFringe:
         with pytest.raises(BadParam, match="same shape"):
             fit_fringe(PHI, model(10.0, 0.5, 0.0)[:-1])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phase_is_rejected(self, bad):
+        phi = PHI.copy()
+        phi[3] = bad
+        with pytest.raises(BadParam, match="finite"):
+            fit_fringe(phi, model(10.0, 0.5, 0.0))
+
+    def test_distinct_phases_are_counted_after_rounding(self):
+        # four settings, two of them 1e-13 apart: three distinct ones
+        phi = np.array([0.0, 1.0, 2.0, 2.0 + 1e-13])
+        with pytest.raises(FitUnderdetermined):
+            fit_fringe(phi, np.ones(4))
+        assert fit_fringe(phi + [0, 0, 0, 1e-9], np.ones(4)).dof == 1
+
     def test_degenerate_equal_phases(self):
         phi = np.full(10, 0.5)
         with pytest.raises(FitUnderdetermined):

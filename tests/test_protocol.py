@@ -31,7 +31,7 @@ from fockbench.protocol import (
 )
 from fockbench.timing import TimingModel
 
-from oracle_util import composed_matrix
+from oracle_util import composed_matrix, oracle_amplitudes
 
 DATA = Path(__file__).parent / "data"
 
@@ -350,19 +350,48 @@ detector D2* b V
 """
 
 
+# both photons can reach the knob path: the first splitter shares them over
+# (a, b), so their two-photon term on a picks up e^{2i phi} and every table
+# has a |k| = 2 Fourier term, which the builtin bench's tables lack (1e-17);
+# the splitter after the cell mixes its mode c with d, fed before the cell
+KNOB_PAIR_BENCH = """
+path a
+path b
+path c
+path d
+source photon a V
+source photon b V
+bs a b theta=0.6
+phase a knob
+bs a b theta=0.8
+bs b c theta=0.5
+bs a d theta=0.4
+delay c length_m=8.0
+eop c
+bs c d theta=0.7853981633974483
+detector D1 a V
+detector D2 b V
+detector D1* c V
+detector D2* d V
+"""
+
+
 # seeds of generated protocol benches: the bundled bench with every splitter
 # theta, quarter-wave angle and the input theta moved by up to 0.3 rad at random
 GENERATED = ("gen1", "gen2", "gen3")
 
 
 def protocol_bench(which, builtin):
-    """The builtin bench, the bunching bench or a generated one, by name."""
+    """The builtin bench, the bunching or knob-pair bench or a generated one,
+    by name."""
     from fockbench.bench import figure1_text, parse
 
     if which == "builtin":
         return builtin
     if which == "bunching":
         return parse(BUNCHING_BENCH)
+    if which == "knob-pair":
+        return parse(KNOB_PAIR_BENCH)
     rng = np.random.default_rng(int(which.removeprefix("gen")))
     text = re.sub(r"(theta|angle)=(\S+)",
                   lambda m: f"{m[1]}={float(m[2]) + rng.uniform(-0.3, 0.3)!r}",
@@ -390,6 +419,30 @@ def fock_click_table(bench, phi, armed):
     for occ, amp in st.amplitudes.items():
         hit = [occ[i] > 0 for i in det]
         out[hit[0] + 2 * hit[1], hit[2] + 2 * hit[3]] += abs(amp) ** 2
+    return out
+
+
+def oracle_count_tables(bench, phi):
+    """(2, 9, 9) joint photon counts from the permanent oracle, the knob at
+    phi and the cell disarmed ([0]) and fired ([1]: a pi phase on its V mode),
+    indexed as ``count_tables``."""
+    from fockbench.elements import Action, Element, ElementKind
+
+    det = [bench.modes.index(bench.detectors[d]) for d in ("D1", "D2", "D1*", "D2*")]
+    in_occ = [bench.sources.count(m) for m in bench.modes]
+    out = np.zeros((2, 9, 9))
+    for fired in (0, 1):
+        pipeline = []
+        for e in bench.pipeline:
+            if e.is_knob:
+                e = phase_shifter(e.paths[0], phi, knob=True)
+            elif fired and e.kind is ElementKind.POCKELS_CELL:
+                flip = Action("phase", (ModeId(e.paths[0], Polarization.V),), matrix=(math.pi,))
+                e = Element(ElementKind.PHASE_SHIFTER, e.paths, actions=(flip,))
+            pipeline.append(e)
+        for occ, amp in oracle_amplitudes(pipeline, bench.modes, in_occ).items():
+            n = [occ[i] for i in det]
+            out[fired, n[0] + 3 * n[1], n[2] + 3 * n[3]] += abs(amp) ** 2
     return out
 
 
@@ -457,7 +510,7 @@ class TestOutcomeDistribution:
         assert chi2_sf(chi2, len(obs) - 1) >= 1e-6
 
     @pytest.mark.parametrize("phi", [0.0, 0.9, 2.5, 4.1])
-    @pytest.mark.parametrize("which", ["builtin", "bunching", *GENERATED])
+    @pytest.mark.parametrize("which", ["builtin", "bunching", "knob-pair", *GENERATED])
     def test_ideal_tables_match_fock_projection(self, bench, phi, which):
         bench = protocol_bench(which, bench)
         # qe 1, no dark counts, sigma 0 and the stock 22 ns < 24 ns race: p_arm = 1
@@ -530,6 +583,42 @@ class TestOutcomeDistribution:
         assert np.abs(got - want).max() <= 1e-14
 
 
+class TestCountTables:
+    def test_both_photons_at_the_knob_give_a_second_harmonic(self):
+        # the oracle's tables at 8 equally spaced phases: their |k| = 2
+        # Fourier coefficient is what five interpolation nodes are for
+        bench = protocol_bench("knob-pair", None)
+        phis = 2.0 * math.pi * np.arange(8) / 8
+        oracle = np.array([oracle_count_tables(bench, phi) for phi in phis])
+        assert np.abs(np.fft.fft(oracle, axis=0)[2] / 8).max() > 1e-3
+
+    @pytest.mark.parametrize("which", ["builtin", "bunching", "knob-pair"])
+    def test_matches_the_permanent_oracle_at_random_phases(self, bench, which, rng):
+        bench = protocol_bench(which, bench)
+        phis = rng.uniform(-4.0 * math.pi, 4.0 * math.pi, 30)
+        want = np.array([oracle_count_tables(bench, phi) for phi in phis]).swapaxes(0, 1)
+        assert np.abs(count_tables(bench, phis) - want).max() <= 1e-13
+
+    @pytest.mark.parametrize("which", ["builtin", "bunching", "knob-pair", *GENERATED])
+    @pytest.mark.parametrize("sigma", [0.0, 0.66])
+    def test_grid_and_single_phase_agree(self, bench, which, sigma):
+        bench = protocol_bench(which, bench)
+        grid = default_phi_grid(25)
+        tables = count_tables(bench, grid, sigma)
+        for i, phi in enumerate(grid):
+            assert np.abs(tables[:, i] - count_tables(bench, (phi,), sigma)[:, 0]).max() <= 1e-15
+
+    @pytest.mark.parametrize("which", ["builtin", "bunching", "knob-pair", *GENERATED])
+    @pytest.mark.parametrize("noise", [NoiseModel(), FULL_NOISE], ids=["ideal", "full-noise"])
+    def test_no_table_goes_negative(self, bench, which, noise, rng):
+        # exact zeros come out of the interpolation as rounding-level
+        # negatives, about -1e-17, unless they are clipped
+        bench = protocol_bench(which, bench)
+        phis = rng.uniform(0.0, 2.0 * math.pi, 200)
+        assert count_tables(bench, phis, noise.dephasing_sigma).min() >= 0.0
+        assert click_tables(bench, phis, noise).min() >= 0.0
+
+
 @pytest.mark.parametrize("which", ["builtin", *GENERATED])
 def test_transfer_matrix_of_every_slice_is_the_per_element_product(bench, which):
     pipeline, modes = protocol_bench(which, bench).pipeline, bench.modes
@@ -549,6 +638,13 @@ class TestConfig:
     def test_empty_grid_is_rejected(self):
         with pytest.raises(BadParam, match="empty"):
             RunConfig(phi_grid=())
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phase_is_rejected(self, bench, bad):
+        with pytest.raises(BadParam, match="not finite"):
+            RunConfig(phi_grid=(0.0, bad, 1.0, 2.0))
+        with pytest.raises(BadParam, match="not finite"):
+            run_trial(bench, bad, RunConfig(), np.random.default_rng(0))
 
     def test_default_grid_25_points(self):
         cfg = RunConfig()
