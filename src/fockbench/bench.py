@@ -1,5 +1,9 @@
 """Bench-description parser, validator and the built-in apparatus.
 
+A compiled ``Bench`` also checks what the teleportation protocol needs of
+it and carries the protocol's two photons through its optics, once per
+bench (``Bench.photon_rows``).
+
 The format is line oriented, one statement per line, ``#`` starts a comment:
 
     path <name>                          # declares a spatial path with H,V modes
@@ -26,12 +30,18 @@ from importlib import resources
 from types import MappingProxyType
 from typing import Mapping
 
+import numpy as np
+
 from . import elements as el
 from .elements import Element, ElementKind
-from .errors import BadParam, FockbenchError, MalformedInput
+from .errors import BadParam, FockbenchError, MalformedInput, ProtocolError
 from .fock import ModeId, Polarization
 
 H, V = Polarization.H, Polarization.V
+
+#: the protocol's detectors: Alice's Bell measurement, then Bob's verification
+ALICE_DETECTORS = ("D1", "D2")
+BOB_DETECTORS = ("D1*", "D2*")
 
 
 @dataclass(frozen=True)
@@ -52,13 +62,33 @@ class BenchError(FockbenchError):
         super().__init__("; ".join(str(d) for d in diagnostics))
 
 
+@dataclass(frozen=True, eq=False)
+class PhotonRows:
+    """The two source photons' amplitude rows through a protocol bench.
+
+    ``rows`` (5, n) holds, over the bench's n modes, the parts w0 of the
+    two photons that skip the knob path, then their parts w1 that take it,
+    so that a photon's amplitude is w0 + e^{i phi} w1.  Each was carried to
+    the detectors with its entry on the Pockels cell's V mode moved out into
+    ``at_channel`` (4,); the fifth row is that mode's own row, carried from
+    the cell on.  ``classes`` (n, 5) is each mode's one-hot detector class:
+    none, D1, D2, D1*, D2*.  All three arrays are read-only.
+    """
+
+    rows: np.ndarray
+    at_channel: np.ndarray
+    classes: np.ndarray
+
+
 @dataclass(frozen=True)
 class Bench:
     """Compiled bench: canonical modes, ordered pipeline, sources, detectors.
 
     Immutable: the two mappings are stored as read-only copies, so one bench
     (e.g. the cached builtin) can be shared; derive a changed bench with
-    ``with_input_theta``, ``with_delay_m`` or ``dataclasses.replace``.
+    ``with_input_theta``, ``with_delay_m`` or ``dataclasses.replace``.  What
+    depends on the bench alone (``modes``, ``photon_rows``) is computed once
+    per instance, so a derived bench computes its own.
     """
 
     path_names: tuple[str, ...]
@@ -76,6 +106,40 @@ class Bench:
         return tuple(
             ModeId(p, pol) for p in range(len(self.path_names)) for pol in (H, V)
         )
+
+    @functools.cached_property
+    def photon_rows(self) -> PhotonRows:
+        """The one pass of the protocol's two photons through the optics.
+
+        It depends on nothing but the bench, so each bench runs it once, on
+        first use, and every ``protocol.count_tables`` call reads it.  A
+        bench the protocol cannot run raises ``ProtocolError`` on every use.
+        """
+        cell = _require_protocol_bench(self)
+        knob, modes, pipeline = self.knob_index, self.modes, self.pipeline
+        idx = {m: i for i, m in enumerate(modes)}
+        n = len(modes)
+        rows = [[complex(m == source) for m in modes] for source in self.sources]
+        el._carry_rows(rows, pipeline[:knob], idx)
+        # w0 of both photons, then w1: amplitude = w0 + e^{i phi} w1
+        on_knob = [m.path == pipeline[knob].paths[0] for m in modes]
+        rows = ([[0j if k else x for x, k in zip(r, on_knob)] for r in rows]
+                + [[x if k else 0j for x, k in zip(r, on_knob)] for r in rows])
+        el._carry_rows(rows, pipeline[knob + 1 : cell], idx)
+        # p: every mode but the channel mode; q: the channel mode's own row
+        ch = idx[ModeId(pipeline[cell].paths[0], V)]
+        at_channel = [r[ch] for r in rows]
+        for r in rows:
+            r[ch] = 0j
+        rows.append([complex(j == ch) for j in range(n)])
+        el._carry_rows(rows, pipeline[cell + 1 :], idx)
+        detector_class = {self.detectors[d]: k
+                          for k, d in enumerate(ALICE_DETECTORS + BOB_DETECTORS, start=1)}
+        out = PhotonRows(np.array(rows), np.array(at_channel),
+                         np.eye(5)[[detector_class.get(m, 0) for m in modes]])
+        for a in (out.rows, out.at_channel, out.classes):
+            a.flags.writeable = False
+        return out
 
     @property
     def knob_index(self) -> int:
@@ -132,6 +196,33 @@ class Bench:
         for name, mode in self.detectors.items():
             out.append(f"detector {name} {self.path_names[mode.path]} {mode.pol.name}")
         return "\n".join(out) + "\n"
+
+
+def _require_protocol_bench(bench: Bench) -> int:
+    """The Pockels cell's pipeline index, once the bench is checked to have
+    what the protocol needs; ``ProtocolError`` otherwise."""
+    names = set(bench.detectors)
+    missing = [d for d in ALICE_DETECTORS + BOB_DETECTORS if d not in names]
+    if missing:
+        raise ProtocolError(f"protocol needs detectors D1, D2, D1*, D2*; missing {missing}")
+    if len({bench.detectors[d] for d in ALICE_DETECTORS + BOB_DETECTORS}) != 4:
+        raise ProtocolError("protocol needs detectors D1, D2, D1*, D2* on four distinct modes")
+    if len(bench.sources) != 2 or bench.sources[0] == bench.sources[1]:
+        raise ProtocolError("protocol needs two photon sources on distinct modes")
+    eop = [i for i, e in enumerate(bench.pipeline) if e.kind is ElementKind.POCKELS_CELL]
+    if len(eop) != 1:
+        raise ProtocolError(f"protocol needs exactly one Pockels cell, got {len(eop)}")
+    cell = eop[0]
+    if not 0 <= bench.knob_index < cell:
+        raise ProtocolError("protocol needs exactly one phase knob, before the Pockels cell")
+    alice_modes = {bench.detectors[d] for d in ALICE_DETECTORS}
+    for e in bench.pipeline[cell + 1 :]:
+        for act in e.actions:
+            if alice_modes & set(act.modes):
+                raise ProtocolError(
+                    "an element after the Pockels cell touches Alice's detectors"
+                )
+    return cell
 
 
 # element statement: number of paths, its key=<number> arguments, constructor

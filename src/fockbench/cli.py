@@ -26,7 +26,14 @@ from .analysis import (
     fit_fringe,
     wrap_phase,
 )
-from .bench import Bench, BenchError, load, parse_with_diagnostics, read_input
+from .bench import (
+    Bench,
+    BenchError,
+    _require_protocol_bench,
+    load,
+    parse_with_diagnostics,
+    read_input,
+)
 from .errors import (
     BadCalibration,
     BadParam,
@@ -42,7 +49,6 @@ from .protocol import (
     FringeData,
     RunConfig,
     RunMode,
-    _require_protocol_bench,
     default_phi_grid,
     run_sweep,
     run_trial,

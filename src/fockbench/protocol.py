@@ -8,9 +8,10 @@ circuit discards them.
 
 The bench upstream of the detectors is linear optics on two photons, so
 every two-photon amplitude is a 2x2 permanent of the two source photons'
-single-photon amplitude rows.  ``count_tables`` carries just those two rows
-through the pipeline in one pass, updating only the modes each action
-touches (``elements._carry_rows``).  Summed over the modes of each detector
+single-photon amplitude rows.  Those rows depend on the bench alone, so
+each bench carries them through its pipeline once, on first use, and keeps
+them (``Bench.photon_rows``); every ``count_tables`` call on that bench, in
+a sweep or a shot, reads them.  Summed over the modes of each detector
 class, the permanents' squares reduce to products of small per-class Gram
 matrices of the photons' amplitudes.  The knob makes every table a
 trigonometric polynomial of degree at most 2 in the phase, so the Grams are
@@ -40,15 +41,12 @@ from enum import Enum
 import numpy as np
 
 from . import fock
-from .bench import Bench
-from .elements import ElementKind, _carry_rows, apply_element, phase_shifter
+from .bench import ALICE_DETECTORS, BOB_DETECTORS, Bench
+from .elements import apply_element, phase_shifter
 from .errors import BadParam, MalformedInput, ProtocolError
-from .fock import ModeId, Polarization
 from .noise import ClickPattern, NoiseModel, click_table
 from .timing import EventLog, TimingModel, race, shot_log
 
-ALICE_DETECTORS = ("D1", "D2")
-BOB_DETECTORS = ("D1*", "D2*")
 PAIR_NAMES = ("D1-D1*", "D1-D2*", "D2-D1*", "D2-D2*")
 CSV_HEADER = "phi_rad,pair,coincidences,trials_kept,trials_total"
 
@@ -221,31 +219,6 @@ def position_from_phase(phi: float, lambda_meters: float) -> float:
 # exact click tables
 
 
-def _require_protocol_bench(bench: Bench) -> int:
-    names = set(bench.detectors)
-    missing = [d for d in ALICE_DETECTORS + BOB_DETECTORS if d not in names]
-    if missing:
-        raise ProtocolError(f"protocol needs detectors D1, D2, D1*, D2*; missing {missing}")
-    if len({bench.detectors[d] for d in ALICE_DETECTORS + BOB_DETECTORS}) != 4:
-        raise ProtocolError("protocol needs detectors D1, D2, D1*, D2* on four distinct modes")
-    if len(bench.sources) != 2 or bench.sources[0] == bench.sources[1]:
-        raise ProtocolError("protocol needs two photon sources on distinct modes")
-    eop = [i for i, e in enumerate(bench.pipeline) if e.kind is ElementKind.POCKELS_CELL]
-    if len(eop) != 1:
-        raise ProtocolError(f"protocol needs exactly one Pockels cell, got {len(eop)}")
-    cell = eop[0]
-    if not 0 <= bench.knob_index < cell:
-        raise ProtocolError("protocol needs exactly one phase knob, before the Pockels cell")
-    alice_modes = {bench.detectors[d] for d in ALICE_DETECTORS}
-    for e in bench.pipeline[cell + 1 :]:
-        for act in e.actions:
-            if alice_modes & set(act.modes):
-                raise ProtocolError(
-                    "an element after the Pockels cell touches Alice's detectors"
-                )
-    return cell
-
-
 # Detector classes of an output mode: no protocol detector, D1, D2, D1*, D2*.
 # A photon in each class adds this to the flattened (Alice counts) x (Bob
 # counts) index 9 n(D1) + 27 n(D2) + n(D1*) + 3 n(D2*).
@@ -289,9 +262,11 @@ def count_tables(bench: Bench, phis, sigma: float = 0.0, theta: float = 0.0) -> 
     3 n(D2*).  Everything upstream of the detectors is linear optics on the
     two source photons, so every output amplitude is a 2x2 permanent of the
     photons' single-photon amplitude rows (see S. Scheel, quant-ph/0406127).
-    One pass over the pipeline carries only those two rows
-    (``elements._carry_rows``).  At the knob each row splits into the part
-    that skips the knob path and the part that takes it, so a photon's
+    One pass over the pipeline carries only those two rows, once per bench
+    (``Bench.photon_rows``, computed on the bench's first call and reused
+    by every later one); each call does only the work that depends on
+    ``phis``, ``sigma`` and ``theta``.  At the knob each row splits into the
+    part that skips the knob path and the part that takes it, so a photon's
     amplitude is w0 + e^{i phi} w1 at every phase.
 
     The channel phase is theta; ``sigma`` > 0 averages a further
@@ -308,36 +283,15 @@ def count_tables(bench: Bench, phis, sigma: float = 0.0, theta: float = 0.0) -> 
     (1 + 2 cos d + 2 cos 2d) / 5 carries the node tables exactly to
     ``phis``; the rounding-level negatives this leaves are clipped to 0.
     """
-    cell = _require_protocol_bench(bench)
-    knob, modes, pipeline = bench.knob_index, bench.modes, bench.pipeline
-    idx = {m: i for i, m in enumerate(modes)}
-    n = len(modes)
-    rows = [[complex(m == source) for m in modes] for source in bench.sources]
-    _carry_rows(rows, pipeline[:knob], idx)
-    # w0 of both photons, then w1: amplitude = w0 + e^{i phi} w1
-    on_knob = [m.path == pipeline[knob].paths[0] for m in modes]
-    rows = ([[0j if k else x for x, k in zip(r, on_knob)] for r in rows]
-            + [[x if k else 0j for x, k in zip(r, on_knob)] for r in rows])
-    _carry_rows(rows, pipeline[knob + 1 : cell], idx)
-    # p: every mode but the channel mode; q: the channel mode's own row
-    ch = idx[ModeId(pipeline[cell].paths[0], Polarization.V)]
-    at_channel = [r[ch] for r in rows]
-    for r in rows:
-        r[ch] = 0j
-    rows.append([complex(j == ch) for j in range(n)])
-    _carry_rows(rows, pipeline[cell + 1 :], idx)
-    w = np.array(rows)
-    c = np.array(at_channel) * cmath.exp(1j * theta)
+    photons = bench.photon_rows
+    w, n = photons.rows, len(bench.modes)
+    c = photons.at_channel * cmath.exp(1j * theta)
     # (5, 4, n): (p1, p2, q1, q2) at each node
     p = w[:2] + _NODES[:, None, None] * w[2:4]
     q = (c[:2] + _NODES[:, None] * c[2:])[..., None] * w[4]
     v = np.concatenate([p, q], axis=1)
     outer = (v[:, :, None, :] * v.conj()[:, None, :, :]).reshape(5, 16, n)
-    # (n, 5) one-hot detector class of each mode, ordered as _CLASS_COUNTS
-    detector_class = {bench.detectors[d]: k
-                      for k, d in enumerate(ALICE_DETECTORS + BOB_DETECTORS, start=1)}
-    classes = np.eye(5)[[detector_class.get(m, 0) for m in modes]]
-    gram = (outer @ classes).swapaxes(-1, -2)  # (5, 5, 16)
+    gram = (outer @ photons.classes).swapaxes(-1, -2)  # (5, 5, 16)
     # not sigma**2, which raises OverflowError for a huge sigma: the product
     # overflows to inf instead, and exp(-inf) = 0 dephases fully
     var = sigma * sigma

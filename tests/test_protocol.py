@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -6,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fockbench import elements
+from fockbench.bench import Bench, _require_protocol_bench, figure1_text, parse
 from fockbench.elements import phase_shifter, transfer_matrix
 from fockbench.errors import BadParam, ProtocolError
 from fockbench.fock import ModeId, Polarization
@@ -18,7 +21,6 @@ from fockbench.protocol import (
     BellOutcome,
     RunConfig,
     RunMode,
-    _require_protocol_bench,
     analytic_coincidences,
     click_tables,
     count_tables,
@@ -617,6 +619,85 @@ class TestCountTables:
         phis = rng.uniform(0.0, 2.0 * math.pi, 200)
         assert count_tables(bench, phis, noise.dephasing_sigma).min() >= 0.0
         assert click_tables(bench, phis, noise).min() >= 0.0
+
+
+class TestPhotonRows:
+    """The two photons' pass through the optics runs once per bench."""
+
+    @staticmethod
+    def count_passes(monkeypatch) -> list:
+        """Record every ``elements._carry_rows`` call from here on; a pass
+        makes three (to the knob, on to the cell, past it)."""
+        calls = []
+        carry = elements._carry_rows
+
+        def spy(*args):
+            calls.append(args)
+            carry(*args)
+
+        monkeypatch.setattr(elements, "_carry_rows", spy)
+        return calls
+
+    def test_one_pass_serves_every_sweep_and_shot(self, monkeypatch, rng):
+        bench = parse(figure1_text())  # not the shared builtin, whose pass may have run
+        calls = self.count_passes(monkeypatch)
+        for mode in RunMode:
+            run_sweep(bench, RunConfig(mode=mode, noise=FULL_NOISE, timing=JITTERED), seed=1)
+        cfg = RunConfig(mode=RunMode.ACTIVE, noise=FULL_NOISE, timing=JITTERED)
+        for phi in np.linspace(0.0, 2.0 * math.pi, 50):
+            run_trial(bench, phi, cfg, rng)
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("derive", [
+        lambda b: b.with_delay_m(7.0),
+        lambda b: b.with_input_theta(math.pi / 4),
+        dataclasses.replace,
+    ], ids=["with_delay_m", "with_input_theta", "replace"])
+    def test_a_derived_bench_runs_its_own_pass(self, bench, monkeypatch, derive):
+        count_tables(bench, (0.0,))
+        derived = derive(bench)
+        calls = self.count_passes(monkeypatch)
+        for phi in (0.0, 1.0):
+            count_tables(derived, (phi,))
+        assert len(calls) == 3
+        assert derived.photon_rows is not bench.photon_rows
+
+    def test_a_retuned_input_gives_other_tables(self, bench):
+        phis = (0.0, 1.3, 4.0)
+        want = count_tables(bench, phis)
+        got = count_tables(bench.with_input_theta(0.3), phis)
+        assert np.abs(got - want).max() > 0.1
+
+    def test_the_cached_arrays_are_read_only(self, bench):
+        rows = bench.photon_rows
+        for a in (rows.rows, rows.at_channel, rows.classes):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+
+    def test_a_failed_pass_is_not_cached(self, bench):
+        no_eop = Bench(bench.path_names, bench.sources,
+                       tuple(e for e in bench.pipeline if e.kind.value != "eop"),
+                       dict(bench.detectors))
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ProtocolError) as err:
+                count_tables(no_eop, (0.0,))
+            messages.append(str(err.value))
+        assert messages == ["protocol needs exactly one Pockels cell, got 0"] * 2
+        assert "photon_rows" not in vars(no_eop)
+
+    @pytest.mark.parametrize("which", ["builtin", "bunching", "knob-pair", *GENERATED])
+    @pytest.mark.parametrize("sigma", [0.0, 0.66])
+    @pytest.mark.parametrize("theta", [0.0, 0.4])
+    def test_tables_match_the_frozen_ones_bit_for_bit(self, bench, which, sigma, theta):
+        # frozen before the pass was cached on the bench, on x86-64 with
+        # numpy 2.4 and OpenBLAS: the first call and a cached one must both
+        # give exactly those floats
+        bench = protocol_bench(which, bench)
+        with np.load(DATA / "count_tables.npz") as frozen:
+            want = frozen[f"{which} sigma={sigma} theta={theta}"]
+        for _ in range(2):
+            assert np.array_equal(count_tables(bench, (0.0, 1.3, 4.0), sigma, theta), want)
 
 
 @pytest.mark.parametrize("which", ["builtin", *GENERATED])
