@@ -3,7 +3,9 @@
 The fringe model is rate(phi) = A (1 + V cos(phi - phi0)).  Expanded as
 A + B cos(phi) + C sin(phi) it is linear in (A, B, C), so a weighted linear
 least-squares solve recovers the parameters in closed form; standard errors
-come from the fit covariance via the delta method.
+come from the fit covariance via the delta method.  ``fit_fringes`` fits a
+stack of fringes on one phase grid in one solve, and ``fit_fringe`` is its
+one-fringe case.
 """
 
 from __future__ import annotations
@@ -37,60 +39,96 @@ def fit_fringe(phi: np.ndarray, counts: np.ndarray) -> FitResult:
     """Weighted least-squares fit of A (1 + V cos(phi - phi0)) to counts.
 
     Weights are 1/max(count, 1), the binomial/Poisson variance estimate.
-    Needs at least four distinct phase settings, all finite.
+    Needs at least four distinct phase settings, all finite.  This is the
+    one-row case of ``fit_fringes``.
     """
-    phi = np.asarray(phi, dtype=float)
-    counts = np.asarray(counts, dtype=float)
-    if phi.shape != counts.shape:
-        raise BadParam("phi and counts must have the same shape")
-    if not np.isfinite(phi).all():
+    return fit_fringes(phi, [counts])[0]
+
+
+def fit_fringes(phi: np.ndarray, counts) -> list[FitResult]:
+    """``fit_fringe`` of every row of ``counts``, a stack of fringes on the
+    one phase grid ``phi``, in one weighted solve.
+
+    One matrix product gives every row's weighted moments and right-hand
+    side, and each row's 3x3 normal equations are solved in closed form.  A
+    row's fit does not depend on the other rows.  A singular normal matrix
+    or a non-positive fitted amplitude in any row raises
+    ``FitUnderdetermined``.
+    """
+    try:
+        phi = np.asarray(phi, dtype=float)
+        y = np.asarray(counts, dtype=float)
+    except ValueError as exc:  # e.g. a ragged stack of rows
+        raise BadParam(f"phi and counts must be numeric arrays: {exc}") from None
+    if phi.ndim != 1 or y.ndim != 2 or y.shape[1] != len(phi):
+        raise BadParam("phi and each row of counts must have the same shape")
+    if not all(map(math.isfinite, phi.tolist())):
         raise BadParam("phases must be finite")
-    if len(set(np.round(phi, 12).tolist())) < 4:
+    # np.round(phi, 12), as the three ufuncs it calls, without its dispatch
+    if len(set((np.rint(phi * 1e12) / 1e12).tolist())) < 4:
         raise FitUnderdetermined("fit needs >= 4 distinct phase settings")
 
-    w = 1.0 / np.maximum(counts, 1.0)
-    x = np.empty((len(phi), 3))
-    x[:, 0], x[:, 1], x[:, 2] = 1.0, np.cos(phi), np.sin(phi)
-    xtw = x.T * w
-    normal = xtw @ x
-    try:
-        cov = np.linalg.inv(normal)
-    except np.linalg.LinAlgError as exc:
-        raise FitUnderdetermined(f"singular normal matrix: {exc}") from None
-    coef = cov @ (xtw @ counts)
-    a, b, c = coef
-    resid = counts - x @ coef
-    chi2 = float(np.sum(w * resid**2))
+    x = np.ones((3, len(phi)))  # the model's terms 1, cos, sin
+    np.cos(phi, out=x[1])
+    np.sin(phi, out=x[2])
+    w = 1.0 / np.maximum(y, 1.0)
+    n = len(y)
+    # each row's normal matrix, the moments of x_i x_j under w, and under
+    # w * y its right-hand side, the three moments with x_0 = 1
+    moments = (np.concatenate([w, w * y]) @ (x[:, None] * x).reshape(9, -1).T).tolist()
+    coefs, covs = [], []
+    for (s00, s01, s02, _, s11, s12, _, _, s22), (r0, r1, r2, *_) in zip(moments[:n],
+                                                                      moments[n:]):
+        # the symmetric normal matrix's inverse, from its cofactors
+        c00, c01, c02 = s11 * s22 - s12 * s12, s02 * s12 - s01 * s22, s01 * s12 - s02 * s11
+        det = s00 * c00 + s01 * c01 + s02 * c02
+        if det == 0:
+            raise FitUnderdetermined("singular normal matrix")
+        c11, c12, c22 = s00 * s22 - s02 * s02, s01 * s02 - s00 * s12, s00 * s11 - s01 * s01
+        cov = ((c00 / det, c01 / det, c02 / det), (c01 / det, c11 / det, c12 / det),
+               (c02 / det, c12 / det, c22 / det))
+        coefs.append([k0 * r0 + k1 * r1 + k2 * r2 for k0, k1, k2 in cov])
+        covs.append(cov)
+    # from the residuals: the moments' form of chi^2 cancels catastrophically
+    resid = y - (np.array(coefs).reshape(n, 3, 1) * x).sum(axis=1)
+    chi2 = (w * resid**2).sum(axis=1).tolist()
     dof = len(phi) - 3
 
-    r = math.hypot(b, c)
-    if a <= 0:
-        raise FitUnderdetermined(f"non-positive fitted amplitude {a:.3g}")
-    v_raw = r / a
-    phase_locked = v_raw > 1e-6
-    phi0 = math.atan2(c, b) if phase_locked else 0.0
+    fits = []
+    for (a, b, c), cov, chi2_row in zip(coefs, covs, chi2):
+        if a <= 0:
+            raise FitUnderdetermined(f"non-positive fitted amplitude {a:.3g}")
+        r = math.hypot(b, c)
+        v_raw = r / a
+        phase_locked = v_raw > 1e-6
+        phi0 = math.atan2(c, b) if phase_locked else 0.0
+        # delta method: V = sqrt(b^2 + c^2)/a, phi0 = atan2(c, b)
+        if r > 0:
+            sigma_v = math.sqrt(max(_quadratic_form(
+                cov, (-r / (a * a), b / (r * a), c / (r * a))), 0.0))
+            sigma_p = math.sqrt(max(_quadratic_form(
+                cov, (0.0, -c / (r * r), b / (r * r))), 0.0))
+        else:
+            sigma_v = math.sqrt(max(cov[1][1] + cov[2][2], 0.0)) / a
+            sigma_p = math.inf
+        fits.append(FitResult(
+            amplitude=a,
+            visibility=min(max(v_raw, 0.0), 1.0),
+            phi0=phi0,
+            sigma_amplitude=math.sqrt(max(cov[0][0], 0.0)),
+            sigma_visibility=sigma_v,
+            sigma_phi0=sigma_p,
+            visibility_raw=v_raw,
+            phase_locked=phase_locked,
+            chi2=chi2_row,
+            dof=dof,
+        ))
+    return fits
 
-    # delta method: V = sqrt(b^2 + c^2)/a, phi0 = atan2(c, b)
-    if r > 0:
-        g_v = np.array([-r / a**2, b / (r * a), c / (r * a)])
-        g_p = np.array([0.0, -c / r**2, b / r**2])
-        sigma_v = float(math.sqrt(max(g_v @ cov @ g_v, 0.0)))
-        sigma_p = float(math.sqrt(max(g_p @ cov @ g_p, 0.0)))
-    else:
-        sigma_v = float(math.sqrt(max(cov[1, 1] + cov[2, 2], 0.0))) / a
-        sigma_p = float("inf")
-    return FitResult(
-        amplitude=float(a),
-        visibility=float(min(max(v_raw, 0.0), 1.0)),
-        phi0=float(phi0),
-        sigma_amplitude=float(math.sqrt(max(cov[0, 0], 0.0))),
-        sigma_visibility=sigma_v,
-        sigma_phi0=sigma_p,
-        visibility_raw=float(v_raw),
-        phase_locked=phase_locked,
-        chi2=chi2,
-        dof=dof,
-    )
+
+def _quadratic_form(m, g: tuple[float, float, float]) -> float:
+    """g^T m g of a 3x3 matrix m."""
+    return sum(gi * (mi[0] * g[0] + mi[1] * g[1] + mi[2] * g[2]) for gi, mi in zip(g, m))
 
 
 def fidelity_from_visibility(v: float) -> float:

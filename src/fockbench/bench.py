@@ -2,7 +2,8 @@
 
 A compiled ``Bench`` also checks what the teleportation protocol needs of
 it and carries the protocol's two photons through its optics, once per
-bench (``Bench.photon_rows``).
+bench (``Bench.photon_rows``); a bench retuned by ``Bench.with_delay_m``
+shares that pass with the bench it came from.
 
 The format is line oriented, one statement per line, ``#`` starts a comment:
 
@@ -88,7 +89,9 @@ class Bench:
     (e.g. the cached builtin) can be shared; derive a changed bench with
     ``with_input_theta``, ``with_delay_m`` or ``dataclasses.replace``.  What
     depends on the bench alone (``modes``, ``photon_rows``) is computed once
-    per instance, so a derived bench computes its own.
+    per instance, so a derived bench computes its own, except that a bench
+    from ``with_delay_m`` shares its parent's ``photon_rows``: a delay line
+    has no actions, so its length cannot change the photons' pass.
     """
 
     path_names: tuple[str, ...]
@@ -112,9 +115,14 @@ class Bench:
         """The one pass of the protocol's two photons through the optics.
 
         It depends on nothing but the bench, so each bench runs it once, on
-        first use, and every ``protocol.count_tables`` call reads it.  A
-        bench the protocol cannot run raises ``ProtocolError`` on every use.
+        first use, and every ``protocol.count_tables`` call reads it; a bench
+        from ``with_delay_m`` reads, and on first use runs, the pass of the
+        bench it was derived from.  A bench the protocol cannot run raises
+        ``ProtocolError`` on every use.
         """
+        owner = vars(self).get("_pass_owner")
+        if owner is not None:
+            return owner.photon_rows
         cell = _require_protocol_bench(self)
         knob, modes, pipeline = self.knob_index, self.modes, self.pipeline
         idx = {m: i for i, m in enumerate(modes)}
@@ -169,13 +177,21 @@ class Bench:
         return self._with_element(feeding[-1], el.beam_splitter(*old.paths, theta))
 
     def with_delay_m(self, length_m: float) -> "Bench":
-        """Set the length of the bench's one delay line."""
+        """Set the length of the bench's one delay line.
+
+        A delay line has no actions, so its length cannot change the
+        photons' pass: the returned bench shares ``photon_rows`` with this
+        one, and runs it, on this bench, on first use if it has not run yet.
+        """
         # the race uses the lines' summed length, so one length fits only one line
         lines = [i for i, e in enumerate(self.pipeline) if e.kind is ElementKind.DELAY_LINE]
         if len(lines) != 1:
             raise BadParam(f"--delay-m needs a bench with one delay line, got {len(lines)}")
         path = self.pipeline[lines[0]].paths[0]
-        return self._with_element(lines[0], el.delay_line(path, length_m))
+        derived = self._with_element(lines[0], el.delay_line(path, length_m))
+        # the bench whose pass this one shares, if any: chains stay one deep
+        object.__setattr__(derived, "_pass_owner", vars(self).get("_pass_owner", self))
+        return derived
 
     def _with_element(self, i: int, new: Element) -> "Bench":
         return replace(self, pipeline=self.pipeline[:i] + (new,) + self.pipeline[i + 1 :])

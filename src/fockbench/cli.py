@@ -23,7 +23,7 @@ from .analysis import (
     classical_bound_check,
     error_propagation,
     fidelity_from_visibility,
-    fit_fringe,
+    fit_fringes,
     wrap_phase,
 )
 from .bench import (
@@ -64,7 +64,7 @@ def sparkline(values) -> str:
     if top <= 0:
         return " " * len(vals)
     idx = np.minimum((vals / top * (len(_BLOCKS) - 1)).astype(int), len(_BLOCKS) - 1)
-    return "".join(_BLOCKS[i] for i in idx)
+    return "".join([_BLOCKS[i] for i in idx.tolist()])
 
 
 # dest -> (type, default, help): the run flags, which manifest.txt records
@@ -101,9 +101,15 @@ def _write_text(path: Path, text: str) -> None:
     costs a rerun up to a millisecond per file.  Neither way calls fsync,
     and neither is atomic.
     """
-    with os.fdopen(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
-        f.write(text.encode("utf-8"))
-        f.truncate()
+    data = memoryview(text.encode("utf-8"))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        size = len(data)
+        while data:  # os.write may write less than it is given
+            data = data[os.write(fd, data):]
+        os.ftruncate(fd, size)
+    finally:
+        os.close(fd)
 
 
 def _manifest_text(args: argparse.Namespace) -> str:
@@ -185,38 +191,37 @@ def cmd_run(args: argparse.Namespace) -> int:
         record = run_trial(bench, cfg.phi_grid[0], cfg, rng)
         _write_text(out / "events.csv", record.log.to_csv())
 
-    print(f"wrote {out / 'fringe.csv'} ({len(cfg.phi_grid)} phase points, "
-          f"{cfg.trials_per_phi} trials each, mode={cfg.mode.value})")
-    for pair in PAIR_NAMES:
-        print(f"  {pair:7s} {sparkline(data.counts[pair])}")
+    lines = [f"wrote {out / 'fringe.csv'} ({len(cfg.phi_grid)} phase points, "
+             f"{cfg.trials_per_phi} trials each, mode={cfg.mode.value})"]
+    lines += [f"  {pair:7s} {sparkline(data.counts[pair])}" for pair in PAIR_NAMES]
+    print("\n".join(lines))
     return 0
-
-
-def _fit_pair(data: FringeData, pair: str):
-    return fit_fringe(np.array(data.phi_grid), data.counts[pair])
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     data = FringeData.from_csv(read_input(args.fringe_csv))
-    print(f"# {args.fringe_csv}: {len(data.phi_grid)} phase points, "
-          f"{sum(data.trials_total.tolist())} trials")  # Python ints: no int64 wrap
-    for pair in PAIR_NAMES:
-        fit = _fit_pair(data, pair)
+    fits = fit_fringes(data.phi_grid, [data.counts[pair] for pair in PAIR_NAMES])
+    lines = [f"# {args.fringe_csv}: {len(data.phi_grid)} phase points, "
+             f"{sum(data.trials_total.tolist())} trials"]  # Python ints: no int64 wrap
+    for pair, fit in zip(PAIR_NAMES, fits):
         f = fidelity_from_visibility(fit.visibility)
         sf = error_propagation(fit)
         beats = classical_bound_check(f)
-        print(f"{pair}: V={fit.visibility:.4f}+-{fit.sigma_visibility:.4f} "
-              f"phi0={fit.phi0:+.4f} F={f:.4f}+-{sf:.4f} "
-              f"{'beats' if beats else 'below'} classical {CLASSICAL_FIDELITY_BOUND:.4f}")
         key = pair.replace("*", "s")
-        print(f"{key}.visibility={fit.visibility:.6f}")
-        print(f"{key}.sigma_visibility={fit.sigma_visibility:.6f}")
-        print(f"{key}.phi0={fit.phi0:.6f}")
-        print(f"{key}.sigma_phi0={fit.sigma_phi0:.6f}")
-        print(f"{key}.chi2_dof={fit.chi2 / fit.dof:.6f}")
-        print(f"{key}.fidelity={f:.6f}")
-        print(f"{key}.sigma_fidelity={sf:.6f}")
-        print(f"{key}.beats_classical_bound={str(beats).lower()}")
+        lines += [
+            f"{pair}: V={fit.visibility:.4f}+-{fit.sigma_visibility:.4f} "
+            f"phi0={fit.phi0:+.4f} F={f:.4f}+-{sf:.4f} "
+            f"{'beats' if beats else 'below'} classical {CLASSICAL_FIDELITY_BOUND:.4f}",
+            f"{key}.visibility={fit.visibility:.6f}",
+            f"{key}.sigma_visibility={fit.sigma_visibility:.6f}",
+            f"{key}.phi0={fit.phi0:.6f}",
+            f"{key}.sigma_phi0={fit.sigma_phi0:.6f}",
+            f"{key}.chi2_dof={fit.chi2 / fit.dof:.6f}",
+            f"{key}.fidelity={f:.6f}",
+            f"{key}.sigma_fidelity={sf:.6f}",
+            f"{key}.beats_classical_bound={str(beats).lower()}",
+        ]
+    print("\n".join(lines))
     return 0
 
 
@@ -229,8 +234,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     data_b = FringeData.from_csv(read_input(args.run_b))
     if data_a.phi_grid != data_b.phi_grid:
         raise GridMismatch("phase grids differ between the two runs")
-    fit_a = _fit_pair(data_a, args.pair_a)
-    fit_b = _fit_pair(data_b, args.pair_b)
+    fit_a, fit_b = fit_fringes(data_a.phi_grid, [data_a.counts[args.pair_a],
+                                                 data_b.counts[args.pair_b]])
     dphi = wrap_phase(fit_a.phi0 - fit_b.phi0)
     dv = fit_a.visibility - fit_b.visibility
     sigma_dphi = math.hypot(fit_a.sigma_phi0, fit_b.sigma_phi0)
@@ -288,7 +293,8 @@ def cmd_reproduce_paper(args: argparse.Namespace) -> int:
         out.mkdir(parents=True, exist_ok=True)
         for name, _, data in runs:
             _write_text(out / f"{name}.csv", data.to_csv())
-    fits = {name: _fit_pair(data, pair) for name, pair, data in runs}
+    fitted = fit_fringes(grid, [data.counts[pair] for _, pair, data in runs])
+    fits = {name: fit for (name, _, _), fit in zip(runs, fitted)}
 
     print(f"dephasing: passive sigma={sigma_passive:.4f} rad, "
           f"delay-line adds {sigma_added:.4f} rad (total {sigma_total:.4f})")
@@ -313,12 +319,36 @@ def cmd_reproduce_paper(args: argparse.Namespace) -> int:
     return 0
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process.
 
     Parsing leaves no state on it: each ``parse_args`` returns a new namespace.
     """
+    return _parsers()[0]
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, with a subcommand's arguments
+    handed straight to that subcommand's parser.
+
+    Through the top-level parser, every flag is classified twice, the first
+    time only to be handed on unchanged; that costs a ``run`` with a dozen
+    flags about as much as parsing them.
+    """
+    parser, subcommands = _parsers()
+    sub = subcommands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's, by name."""
     parser = argparse.ArgumentParser(
         prog="fockbench",
         description="vacuum/one-photon qubit teleportation bench simulator",
@@ -360,12 +390,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--passive-visibility", type=float, default=0.906)
     p_rep.add_argument("--active-visibility", type=float, default=0.80)
     p_rep.set_defaults(func=cmd_reproduce_paper)
-    return parser
+    return parser, sub.choices
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except BenchError as exc:

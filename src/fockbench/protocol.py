@@ -48,6 +48,9 @@ from .noise import ClickPattern, NoiseModel, click_table
 from .timing import EventLog, TimingModel, race, shot_log
 
 PAIR_NAMES = ("D1-D1*", "D1-D2*", "D2-D1*", "D2-D2*")
+#: the largest count in int64, in which the sweep's multinomial draw and a
+#: fringe's arrays count
+_INT64_MAX = 2**63 - 1
 CSV_HEADER = "phi_rad,pair,coincidences,trials_kept,trials_total"
 
 
@@ -108,8 +111,7 @@ class RunConfig:
     timing: TimingModel = TimingModel()
 
     def __post_init__(self):
-        # the sweep's multinomial draw counts in int64
-        if not 1 <= self.trials_per_phi <= np.iinfo(np.int64).max:
+        if not 1 <= self.trials_per_phi <= _INT64_MAX:
             raise BadParam(f"trials_per_phi must be in [1, 2**63 - 1], "
                            f"got {self.trials_per_phi}")
         if len(self.phi_grid) == 0:
@@ -141,57 +143,81 @@ class FringeData:
     trials_total: np.ndarray
 
     def to_csv(self) -> str:
+        p0, p1, p2, p3 = PAIR_NAMES
         counts = zip(*(self.counts[pair].tolist() for pair in PAIR_NAMES))
-        lines = [CSV_HEADER]
-        for phi, row, kept, total in zip(self.phi_grid, counts, self.trials_kept.tolist(),
-                                         self.trials_total.tolist()):
-            head, tail = f"{phi:.17g},", f",{kept},{total}"
-            lines += [f"{head}{pair},{c}{tail}" for pair, c in zip(PAIR_NAMES, row)]
-        return "\n".join(lines) + "\n"
+        out = [CSV_HEADER + "\n"]
+        for phi, (c0, c1, c2, c3), kept, total in zip(
+                self.phi_grid, counts, self.trials_kept.tolist(), self.trials_total.tolist()):
+            # a phase point's four rows in one string
+            head, tail = f"{phi:.17g},", f",{kept},{total}\n"
+            out.append(f"{head}{p0},{c0}{tail}{head}{p1},{c1}{tail}"
+                       f"{head}{p2},{c2}{tail}{head}{p3},{c3}{tail}")
+        return "".join(out)
 
     @classmethod
     def from_csv(cls, text: str) -> "FringeData":
-        """Parse ``to_csv`` output; a malformed file raises ``MalformedInput``."""
+        """Parse ``to_csv`` output; a malformed file raises ``MalformedInput``.
+
+        Each phase point is a run of consecutive rows with one phase, one row
+        per pair in any order; every count must fit the int64 arrays.
+        """
         lines = text.strip().splitlines()
         if not lines or lines[0].strip() != CSV_HEADER:
             raise MalformedInput(f"fringe CSV header is not {CSV_HEADER!r}")
-        points: list[tuple[float, dict[str, int], int, int]] = []
+        column = {pair: j for j, pair in enumerate(PAIR_NAMES)}
+        phis: list[float] = []
+        rows: list[list[int | None]] = []  # a phase point's counts, in PAIR_NAMES order
+        kept: list[int] = []
+        total: list[int] = []
+        # the last row's phase and totals as text: a row that repeats them,
+        # as every row of a phase point does, need not parse them again
+        phi_s = k_s = t_s = None
         for n, line in enumerate(lines[1:], start=2):
             fields = line.split(",")
             if len(fields) != 5:
                 raise MalformedInput(f"fringe CSV line {n}: want 5 fields, got {len(fields)}")
-            phi_s, pair, c, k, t = fields
-            if pair not in PAIR_NAMES:
+            last = phi_s, k_s, t_s
+            phi_s, pair, c, k_s, t_s = fields
+            j = column.get(pair)
+            if j is None:
                 raise MalformedInput(f"fringe CSV line {n}: unknown pair {pair!r}")
             try:
-                phi, c, k, t = float(phi_s), int(c), int(k), int(t)
+                if phi_s != last[0]:
+                    phi = float(phi_s)
+                c = int(c)
+                if k_s != last[1] or t_s != last[2]:
+                    k, t = int(k_s), int(t_s)
             except ValueError as exc:
                 raise MalformedInput(f"fringe CSV line {n}: {exc}") from None
-            if not math.isfinite(phi):
+            new_point = not phis or phi != phis[-1]
+            # a phase equal to the point's is finite, as the point's was
+            if new_point and not math.isfinite(phi):
                 raise MalformedInput(f"fringe CSV line {n}: phase {phi_s!r} is not finite")
             if not 0 <= c <= k <= t:
                 raise MalformedInput(f"fringe CSV line {n}: want 0 <= coincidences <= "
                                      f"trials_kept <= trials_total, got {c}, {k}, {t}")
-            if not points or phi != points[-1][0]:
-                points.append((phi, {}, k, t))
-            _, counts, kept, total = points[-1]
-            if pair in counts:
+            if new_point:
+                row = [None] * len(PAIR_NAMES)
+                phis.append(phi)
+                rows.append(row)
+                kept.append(k)
+                total.append(t)
+            elif row[j] is not None:
                 raise MalformedInput(f"fringe CSV line {n}: {pair} repeated at phi={phi!r}")
-            if (k, t) != (kept, total):
+            elif k != kept[-1] or t != total[-1]:
                 raise MalformedInput(f"fringe CSV line {n}: trials_kept/trials_total "
                                      f"disagree with the other rows at phi={phi!r}")
-            counts[pair] = c
-        for phi, counts, _, _ in points:
-            if len(counts) != len(PAIR_NAMES):
-                missing = sorted(set(PAIR_NAMES) - set(counts))
+            if t > _INT64_MAX:
+                raise MalformedInput(f"fringe CSV line {n}: trials_total {t} is past "
+                                     f"2**63 - 1")
+            row[j] = c
+        for phi, row in zip(phis, rows):
+            if None in row:
+                missing = sorted(pair for pair, c in zip(PAIR_NAMES, row) if c is None)
                 raise MalformedInput(f"fringe CSV: phi={phi!r} lacks pairs {missing}")
-        return cls(
-            tuple(p[0] for p in points),
-            {pair: np.array([p[1][pair] for p in points], dtype=np.int64)
-             for pair in PAIR_NAMES},
-            np.array([p[2] for p in points], dtype=np.int64),
-            np.array([p[3] for p in points], dtype=np.int64),
-        )
+        counts = np.array(rows, dtype=np.int64).reshape(-1, len(PAIR_NAMES)).T.copy()
+        return cls(tuple(phis), dict(zip(PAIR_NAMES, counts)),
+                   np.array(kept, dtype=np.int64), np.array(total, dtype=np.int64))
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from fockbench.analysis import (
     error_propagation,
     fidelity_from_visibility,
     fit_fringe,
+    fit_fringes,
     wrap_phase,
 )
 from fockbench.errors import BadParam, FitUnderdetermined
@@ -117,6 +118,78 @@ class TestFitFringe:
                     best = (sse, v, phi0)
         assert fit.visibility == pytest.approx(best[1], abs=0.01)
         assert abs(wrap_phase(fit.phi0 - best[2])) < 0.02
+
+
+def seeded_fringes(rng, rows, trials):
+    """(rows, 25) binomial fringes with random visibilities and phases."""
+    v = rng.uniform(0.0, 1.0, (rows, 1))
+    phi0 = rng.uniform(-math.pi, math.pi, (rows, 1))
+    return rng.binomial(trials, (1 + v * np.cos(PHI - phi0)) / 8).astype(float)
+
+
+def reference_fit(phi, counts):
+    """(A, B, C) and their covariance by ``np.linalg.solve`` of one fringe's
+    normal equations."""
+    x = np.stack([np.ones_like(phi), np.cos(phi), np.sin(phi)], axis=1)
+    w = 1.0 / np.maximum(counts, 1.0)
+    normal = x.T @ (w[:, None] * x)
+    return np.linalg.solve(normal, x.T @ (w * counts)), np.linalg.solve(normal, np.eye(3))
+
+
+class TestFitFringes:
+    @pytest.mark.parametrize("rows", [1, 2, 4, 7])
+    def test_each_row_is_fit_fringe_of_that_row(self, rng, rows):
+        for trials in (200, 2000, 10**6, 10**15):
+            counts = seeded_fringes(rng, rows, trials)
+            fits = fit_fringes(PHI, counts)
+            assert fits == [fit_fringe(PHI, row) for row in counts]
+
+    def test_agrees_with_a_solve_reference(self, rng):
+        for trials in (1000, 10**5, 10**9):
+            counts = seeded_fringes(rng, 6, trials)
+            for fit, row in zip(fit_fringes(PHI, counts), counts):
+                (a, b, c), cov = reference_fit(PHI, row)
+                assert fit.amplitude == pytest.approx(a, rel=1e-12)
+                assert fit.visibility_raw == pytest.approx(math.hypot(b, c) / a, rel=1e-12)
+                assert fit.phi0 == pytest.approx(math.atan2(c, b), rel=1e-12, abs=1e-12)
+                assert fit.sigma_amplitude == pytest.approx(math.sqrt(cov[0, 0]), rel=1e-12)
+
+    def test_chi2_is_the_residual_sum_at_huge_counts(self, rng):
+        # at counts near 1e15 the moments' form of chi^2, sum(w y^2) minus
+        # the fitted part, cancels 15 digits; the residuals' form does not
+        mean = 1e15 * (1 + 0.7 * np.cos(PHI - 0.3))
+        counts = np.round(mean + np.sqrt(mean) * rng.standard_normal((3, len(PHI))))
+        for fit, row in zip(fit_fringes(PHI, counts), counts):
+            b = fit.amplitude * fit.visibility_raw * math.cos(fit.phi0)
+            c = fit.amplitude * fit.visibility_raw * math.sin(fit.phi0)
+            resid = row - (fit.amplitude + b * np.cos(PHI) + c * np.sin(PHI))
+            assert fit.chi2 == pytest.approx(np.sum(resid**2 / row), rel=1e-6)
+            assert 1 < fit.chi2 < 100  # 22 degrees of freedom
+
+    @pytest.mark.parametrize("counts", [
+        [[1.0] * 25, [1.0] * 24],
+        [1.0] * 25,
+        [[[1.0] * 25]],
+        [[1.0] * 24],
+        [["a"] * 25],
+    ], ids=["ragged", "one-dimensional", "three-dimensional", "short-rows", "not-numbers"])
+    def test_a_misshaped_stack_is_rejected(self, counts):
+        with pytest.raises(BadParam):
+            fit_fringes(PHI, counts)
+
+    def test_a_two_dimensional_grid_is_rejected(self):
+        with pytest.raises(BadParam, match="same shape"):
+            fit_fringes(PHI[None], [model(10.0, 0.5, 0.0)])
+
+    @pytest.mark.parametrize("bad_row", [0, 1, 2])
+    def test_a_non_positive_amplitude_in_any_row_is_rejected(self, bad_row):
+        counts = np.array([model(50.0, 0.5, 1.0)] * 3)
+        counts[bad_row] = -counts[bad_row]
+        with pytest.raises(FitUnderdetermined, match="non-positive fitted amplitude -50"):
+            fit_fringes(PHI, counts)
+
+    def test_an_empty_stack_gives_no_fits(self):
+        assert fit_fringes(PHI, np.empty((0, len(PHI)))) == []
 
 
 class TestFidelity:

@@ -7,7 +7,7 @@ import pytest
 
 from fockbench import __version__
 from fockbench.bench import figure1_text
-from fockbench.cli import _RUN_FLAGS, build_parser, main, sparkline
+from fockbench.cli import _RUN_FLAGS, _parse_args, build_parser, main, sparkline
 from fockbench.protocol import CSV_HEADER, PAIR_NAMES, default_phi_grid
 
 DATA = Path(__file__).parent / "data"
@@ -88,6 +88,31 @@ class TestRun:
 
     def test_parser_is_built_once(self):
         assert build_parser() is build_parser()
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--mode", "active", "--trials", "50", "--delay-m", "7.0", "--out", "x"],
+        ["run"],
+        ["analyze", "f.csv"],
+        ["compare", "a.csv", "b.csv", "--pair-b", "D2-D2*"],
+        ["validate-bench", "b.bench"],
+        ["reproduce-paper", "--trials", "100", "--seed", "3"],
+    ])
+    def test_subcommand_args_parse_as_through_the_top_level_parser(self, argv):
+        assert vars(_parse_args(argv)) == vars(build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--bogus"], ["run", "--trials", "x"], ["run", "--version"],
+        ["analyze", "a.csv", "b.csv"], ["analyze"], ["bogus"], [], ["--version"],
+        ["run", "-h"], ["-h"],
+    ])
+    def test_bad_or_help_args_exit_as_through_the_top_level_parser(self, capsys, argv):
+        with pytest.raises(SystemExit) as direct:
+            _parse_args(argv)
+        direct_output = capsys.readouterr()
+        with pytest.raises(SystemExit) as full:
+            build_parser().parse_args(argv)
+        assert direct.value.code == full.value.code
+        assert direct_output == capsys.readouterr()
 
     def test_writes_manifest(self, tmp_path):
         run_cli("run", "--trials", "50", "--phi-steps", "5", "--out", str(tmp_path))
@@ -521,7 +546,9 @@ class TestAnalyze:
         lambda phi, pair, c, k, t: (phi, pair, str(int(k) + 1), k, t),
         lambda phi, pair, c, k, t: ("inf", pair, c, k, t),
         lambda phi, pair, c, k, t: ("nan", pair, c, k, t),
-    ], ids=["negative-count", "kept-above-total", "count-above-kept", "phi-inf", "phi-nan"])
+        lambda phi, pair, c, k, t: (phi, pair, c, k, "99999999999999999999"),
+    ], ids=["negative-count", "kept-above-total", "count-above-kept", "phi-inf", "phi-nan",
+            "count-past-int64"])
     @pytest.mark.parametrize("command", ["analyze", "compare"])
     def test_impossible_csv_row_exits_3(self, tmp_path, capsys, fields, command):
         run_cli("run", "--trials", "100", "--phi-steps", "5", "--out", str(tmp_path))
@@ -562,6 +589,19 @@ class TestAnalyze:
         header = capsys.readouterr().out.splitlines()[0]
         assert header == f"# {csv}: 5 phase points, 46116860184273879035 trials"
         assert 5 * total == 46116860184273879035
+
+    def test_counts_near_int64_fit_or_exit_3(self, tmp_path, capsys):
+        # weights spanning 18 decades: the fit may fail, but only as bad input
+        assert run_cli("run", "--trials", "9223372036854775807", "--phi-steps", "4",
+                       "--out", str(tmp_path)) == 0
+        capsys.readouterr()
+        code = run_cli("analyze", str(tmp_path / "fringe.csv"))
+        out, err = capsys.readouterr()
+        assert code in (0, 3)
+        if code == 3:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        else:
+            assert err == "" and out.startswith("# ")
 
     def test_noiseless_run_beats_bound(self, tmp_path, capsys):
         run_cli("run", "--trials", "5000", "--phi-steps", "9", "--seed", "2",

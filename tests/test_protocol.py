@@ -649,10 +649,10 @@ class TestPhotonRows:
         assert len(calls) == 3
 
     @pytest.mark.parametrize("derive", [
-        lambda b: b.with_delay_m(7.0),
         lambda b: b.with_input_theta(math.pi / 4),
         dataclasses.replace,
-    ], ids=["with_delay_m", "with_input_theta", "replace"])
+        lambda b: dataclasses.replace(b.with_delay_m(7.0)),
+    ], ids=["with_input_theta", "replace", "replace-of-with_delay_m"])
     def test_a_derived_bench_runs_its_own_pass(self, bench, monkeypatch, derive):
         count_tables(bench, (0.0,))
         derived = derive(bench)
@@ -661,6 +661,32 @@ class TestPhotonRows:
             count_tables(derived, (phi,))
         assert len(calls) == 3
         assert derived.photon_rows is not bench.photon_rows
+
+    def test_a_delay_edit_shares_the_pass(self, bench, monkeypatch):
+        # a delay line has no actions: its length cannot change the pass
+        count_tables(bench, (0.0,))
+        calls = self.count_passes(monkeypatch)
+        with np.load(DATA / "count_tables.npz") as frozen:
+            for length in (6.5, 7.33, 8.5):
+                derived = bench.with_delay_m(length)
+                assert derived.photon_rows is bench.photon_rows
+                for sigma in (0.0, 0.66):
+                    for theta in (0.0, 0.4):
+                        want = frozen[f"builtin sigma={sigma} theta={theta}"]
+                        got = count_tables(derived, (0.0, 1.3, 4.0), sigma, theta)
+                        assert np.array_equal(got, want)
+        assert calls == []
+
+    def test_delay_edits_run_their_first_parents_pass_once(self, monkeypatch):
+        parent = parse(figure1_text())  # not the shared builtin, whose pass may have run
+        calls = self.count_passes(monkeypatch)
+        first = parent.with_delay_m(7.0)
+        second = first.with_delay_m(9.0)
+        for b in (second, first, parent):
+            count_tables(b, (0.0, 1.0))
+        assert len(calls) == 3
+        assert second.photon_rows is first.photon_rows is parent.photon_rows
+        assert second.delay_m == 9.0 and first.delay_m == 7.0 and parent.delay_m == 8.0
 
     def test_a_retuned_input_gives_other_tables(self, bench):
         phis = (0.0, 1.3, 4.0)
@@ -684,6 +710,17 @@ class TestPhotonRows:
                 count_tables(no_eop, (0.0,))
             messages.append(str(err.value))
         assert messages == ["protocol needs exactly one Pockels cell, got 0"] * 2
+        assert "photon_rows" not in vars(no_eop)
+
+    def test_a_delay_edit_of_an_unrunnable_bench_raises_on_first_use(self, bench):
+        no_eop = Bench(bench.path_names, bench.sources,
+                       tuple(e for e in bench.pipeline if e.kind.value != "eop"),
+                       dict(bench.detectors))
+        derived = no_eop.with_delay_m(7.0)  # the edit itself does not run the pass
+        assert derived.delay_m == 7.0
+        with pytest.raises(ProtocolError, match="exactly one Pockels cell, got 0"):
+            count_tables(derived, (0.0,))
+        assert "photon_rows" not in vars(derived)
         assert "photon_rows" not in vars(no_eop)
 
     @pytest.mark.parametrize("which", ["builtin", "bunching", "knob-pair", *GENERATED])
