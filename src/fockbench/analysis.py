@@ -62,10 +62,12 @@ def fit_fringes(phi: np.ndarray, counts) -> list[FitResult]:
         raise BadParam(f"phi and counts must be numeric arrays: {exc}") from None
     if phi.ndim != 1 or y.ndim != 2 or y.shape[1] != len(phi):
         raise BadParam("phi and each row of counts must have the same shape")
-    if not all(map(math.isfinite, phi.tolist())):
+    phis = phi.tolist()
+    if not all(map(math.isfinite, phis)):
         raise BadParam("phases must be finite")
-    # np.round(phi, 12), as the three ufuncs it calls, without its dispatch
-    if len(set((np.rint(phi * 1e12) / 1e12).tolist())) < 4:
+    # phi rounded to 12 decimals, as np.round(phi, 12); phi * 1e12 overflows
+    # past about 1.8e296, so a phase past 1e296 is a setting of its own
+    if len({round(p * 1e12) / 1e12 if abs(p) < 1e296 else p for p in phis}) < 4:
         raise FitUnderdetermined("fit needs >= 4 distinct phase settings")
 
     x = np.ones((3, len(phi)))  # the model's terms 1, cos, sin

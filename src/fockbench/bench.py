@@ -58,6 +58,8 @@ class Diagnostic:
 
 
 class BenchError(FockbenchError):
+    exit_code = 3
+
     def __init__(self, diagnostics: list[Diagnostic]):
         self.diagnostics = diagnostics
         super().__init__("; ".join(str(d) for d in diagnostics))

@@ -1,9 +1,12 @@
 """Command-line driver: run sweeps, analyze fringes, compare runs.
 
 Exit codes: 0 ok, 2 usage error, 3 bad input data, 4 internal invariant
-violation.  Output CSVs are bit-deterministic in (bench bytes, flags, seed).
-A rerun into an existing output directory rewrites each file in place, and
-cuts off the old tail where the new output is shorter.
+violation.  An error's code comes from its class (``exit_code``); 4 is kept
+for the invariant classes of the Fock engine and the elements, and an
+``OSError`` is bad input.  Output CSVs are bit-deterministic in (bench
+bytes, flags, seed).  A rerun into an existing output directory rewrites
+each file in place, and cuts off the old tail where the new output is
+shorter.
 """
 
 from __future__ import annotations
@@ -34,15 +37,7 @@ from .bench import (
     parse_with_diagnostics,
     read_input,
 )
-from .errors import (
-    BadCalibration,
-    BadParam,
-    FitUnderdetermined,
-    FockbenchError,
-    GridMismatch,
-    MalformedInput,
-    ProtocolError,
-)
+from .errors import BadParam, FockbenchError, GridMismatch, MalformedInput
 from .noise import NoiseModel, calibrate_sigma
 from .protocol import (
     PAIR_NAMES,
@@ -397,20 +392,14 @@ def main(argv: list[str] | None = None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
-    except BenchError as exc:
-        for d in exc.diagnostics:
-            print(str(d), file=sys.stderr)
-        return 3
-    except (BadParam, BadCalibration) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, GridMismatch, FitUnderdetermined, MalformedInput,
-            ProtocolError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except FockbenchError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 4
+    except (FockbenchError, OSError) as exc:
+        code = getattr(exc, "exit_code", 3)  # an OSError is bad input
+        if isinstance(exc, BenchError):
+            for d in exc.diagnostics:
+                print(str(d), file=sys.stderr)
+        else:
+            print(f"{'internal error' if code == 4 else 'error'}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -3,7 +3,7 @@
 Every element compiles to a short list of primitive actions: a 2x2 unitary
 on a mode pair, a per-mode phase, or a mode permutation.  The same actions
 feed both the Fock-state propagation and the single-photon amplitude rows
-(``_carry_rows``) behind the protocol's count tables and ``transfer_matrix``.
+(``_carry_rows``) behind the protocol's count tables.
 """
 
 from __future__ import annotations
@@ -185,16 +185,3 @@ def _carry_rows(rows: list[list[complex]], elements, idx: dict[ModeId, int]) -> 
                 for r in rows:
                     for j, x in zip(dst, [r[i] for i in src]):
                         r[j] = x
-
-
-def transfer_matrix(elements, modes: tuple[ModeId, ...]) -> np.ndarray:
-    """Creation-operator transfer matrix of a run of elements on ``modes``.
-
-    Rows are input modes, columns output modes, so composing is the
-    left-to-right product: ``_carry_rows`` carries the n unit rows through
-    the elements.
-    """
-    n = len(modes)
-    rows = [[complex(i == j) for j in range(n)] for i in range(n)]
-    _carry_rows(rows, elements, {m: i for i, m in enumerate(modes)})
-    return np.array(rows)

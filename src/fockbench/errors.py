@@ -1,8 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+``exit_code`` is the command line's exit code for a class: 2 usage, 3 bad
+input, and the base class's 4, an internal invariant violation.
+"""
 
 
 class FockbenchError(Exception):
     """Base class for all package errors."""
+
+    exit_code = 4
 
 
 # ---- state engine ----
@@ -34,7 +40,7 @@ class ImpossibleOutcome(FockbenchError):
 # ---- optical elements ----
 
 class BadParam(FockbenchError):
-    pass
+    exit_code = 2
 
 
 class BadWiring(FockbenchError):
@@ -48,24 +54,26 @@ class PolarizationMismatch(FockbenchError):
 # ---- stochastics ----
 
 class BadCalibration(FockbenchError):
-    pass
+    exit_code = 2
 
 
 # ---- analysis ----
 
 class FitUnderdetermined(FockbenchError):
-    pass
+    exit_code = 3
 
 
 # ---- protocol / cli ----
 
 class ProtocolError(FockbenchError):
-    pass
+    exit_code = 3
 
 
 class GridMismatch(FockbenchError):
-    pass
+    exit_code = 3
 
 
 class MalformedInput(FockbenchError):
     """A fringe CSV or run manifest that does not follow its format."""
+
+    exit_code = 3

@@ -1,8 +1,8 @@
 """Independent brute-force amplitude oracle for linear-optics checks.
 
 Composes a pipeline's single-photon transfer matrix as the product of its
-per-element matrices (``elements.transfer_matrix`` of one element each, so
-the association order differs from ``count_tables``' single pass over the
+per-element matrices (``transfer_matrix`` of one element each, so the
+association order differs from ``count_tables``' single pass over the
 pipeline, though both read the elements' actions through one row update)
 and derives every multi-photon amplitude from a matrix permanent, never
 touching the Fock-state expansion of ``fock.apply_two_mode_unitary``:
@@ -17,7 +17,21 @@ from itertools import permutations
 
 import numpy as np
 
-from fockbench.elements import transfer_matrix
+from fockbench.elements import _carry_rows
+from fockbench.fock import ModeId
+
+
+def transfer_matrix(elements, modes: tuple[ModeId, ...]) -> np.ndarray:
+    """Creation-operator transfer matrix of a run of elements on ``modes``.
+
+    Rows are input modes, columns output modes, so composing is the
+    left-to-right product: ``_carry_rows`` carries the n unit rows through
+    the elements.
+    """
+    n = len(modes)
+    rows = [[complex(i == j) for j in range(n)] for i in range(n)]
+    _carry_rows(rows, elements, {m: i for i, m in enumerate(modes)})
+    return np.array(rows)
 
 
 def permanent(mat: np.ndarray) -> complex:

@@ -5,9 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from fockbench import __version__
-from fockbench.bench import figure1_text
+from fockbench import __version__, cli
+from fockbench.bench import BenchError, Diagnostic, figure1_text
 from fockbench.cli import _RUN_FLAGS, _parse_args, build_parser, main, sparkline
+from fockbench.errors import FockbenchError
 from fockbench.protocol import CSV_HEADER, PAIR_NAMES, default_phi_grid
 
 DATA = Path(__file__).parent / "data"
@@ -563,6 +564,27 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert err.startswith("error: fringe CSV line 2: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["analyze", "compare"])
+    def test_huge_finite_phases_fit_or_exit_3(self, tmp_path, capsys, command):
+        # five distinct phases, four of them past the 1.8e296 where phi * 1e12
+        # overflows
+        rows = [CSV_HEADER]
+        for phi in (0.0, 1e300, 2e300, 3e300, 4e300):
+            swing = round(200 * math.cos(phi))
+            rows += [f"{phi!r},{pair},{c},1100,2000" for pair, c in zip(
+                PAIR_NAMES, (300 + swing, 300 - swing, 300 - swing, 300 + swing))]
+        csv = tmp_path / "huge.csv"
+        csv.write_text("\n".join(rows) + "\n")
+        argv = [str(csv)] if command == "analyze" else [str(csv), str(csv)]
+        code = run_cli(command, *argv)
+        err = capsys.readouterr().err
+        assert code in (0, 3)
+        if code == 3:
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "distinct phase settings" not in err
+        else:
+            assert err == ""
+
     def test_kept_disagreeing_within_a_phase_exits_3(self, tmp_path, capsys):
         run_cli("run", "--trials", "100", "--phi-steps", "5", "--out", str(tmp_path))
         csv = tmp_path / "fringe.csv"
@@ -634,6 +656,7 @@ class TestCompare:
         code = run_cli("compare", str(tmp_path / "a" / "fringe.csv"),
                        str(tmp_path / "b" / "fringe.csv"))
         assert code == 3
+        assert capsys.readouterr().err == "error: phase grids differ between the two runs\n"
 
     def test_inhibited_vs_passive_shows_pi(self, tmp_path, capsys):
         run_cli("run", "--mode", "passive", "--trials", "4000", "--phi-steps", "13",
@@ -684,6 +707,58 @@ def test_non_utf8_input_file_exits_3(tmp_path, capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(f) in err  # names the file that does not decode
     assert not (tmp_path / "out").exists()
+
+
+def error_classes(cls=FockbenchError):
+    """Every subclass of ``cls``, found through ``__subclasses__()``."""
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from error_classes(sub)
+
+
+#: the exit code of every package error class: 2 usage, 3 bad input, 4 an
+#: internal invariant violation.  A new class must be listed here.
+EXIT_CODES = {
+    "BadParam": 2,
+    "BadCalibration": 2,
+    "BenchError": 3,
+    "FitUnderdetermined": 3,
+    "GridMismatch": 3,
+    "MalformedInput": 3,
+    "ProtocolError": 3,
+    "EmptyModes": 4,
+    "DuplicateMode": 4,
+    "UnknownMode": 4,
+    "TruncationOverflow": 4,
+    "NonUnitary": 4,
+    "ImpossibleOutcome": 4,
+    "BadWiring": 4,
+    "PolarizationMismatch": 4,
+}
+
+
+def test_every_error_class_has_its_listed_exit_code():
+    assert {cls.__name__: cls.exit_code for cls in error_classes()} == EXIT_CODES
+
+
+@pytest.mark.parametrize("cls", list(error_classes()), ids=lambda cls: cls.__name__)
+def test_error_raised_from_a_command_exits_with_its_code(monkeypatch, capsys, cls):
+    diagnostics = [Diagnostic("bad-wiring", "boom", line=1),
+                   Diagnostic("syntax", "bang", line=2)]
+    exc = cls(diagnostics) if cls is BenchError else cls("boom")
+
+    def fail(path):
+        raise exc
+
+    monkeypatch.setattr(cli, "read_input", fail)
+    assert run_cli("analyze", "fringe.csv") == EXIT_CODES[cls.__name__]
+    out, err = capsys.readouterr()
+    assert out == ""
+    if cls is BenchError:  # its diagnostics, one per line
+        assert err == "1:1: error: bad-wiring: boom\n2:1: error: syntax: bang\n"
+    else:
+        assert err == ("internal error: boom\n" if EXIT_CODES[cls.__name__] == 4
+                       else "error: boom\n")
 
 
 class TestReproducePaper:

@@ -12,7 +12,6 @@ from fockbench.elements import (
     pockels_cell,
     polarizing_bs,
     quarter_wave_plate,
-    transfer_matrix,
 )
 from fockbench.errors import BadParam, BadWiring, PolarizationMismatch
 from fockbench.fock import (
@@ -24,6 +23,7 @@ from fockbench.fock import (
 )
 
 from conftest import haar_unitary
+from oracle_util import transfer_matrix
 
 H, V = Polarization.H, Polarization.V
 

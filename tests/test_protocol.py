@@ -9,7 +9,7 @@ import pytest
 
 from fockbench import elements
 from fockbench.bench import Bench, _require_protocol_bench, figure1_text, parse
-from fockbench.elements import phase_shifter, transfer_matrix
+from fockbench.elements import phase_shifter
 from fockbench.errors import BadParam, ProtocolError
 from fockbench.fock import ModeId, Polarization
 from fockbench.noise import NoiseModel
@@ -33,7 +33,7 @@ from fockbench.protocol import (
 )
 from fockbench.timing import TimingModel
 
-from oracle_util import composed_matrix, oracle_amplitudes
+from oracle_util import composed_matrix, oracle_amplitudes, transfer_matrix
 
 DATA = Path(__file__).parent / "data"
 
