@@ -1,12 +1,12 @@
 """Command-line driver: run sweeps, analyze fringes, compare runs.
 
 Exit codes: 0 ok, 2 usage error, 3 bad input data, 4 internal invariant
-violation.  An error's code comes from its class (``exit_code``); 4 is kept
-for the invariant classes of the Fock engine and the elements, and an
-``OSError`` is bad input.  Output CSVs are bit-deterministic in (bench
-bytes, flags, seed).  A rerun into an existing output directory rewrites
-each file in place, and cuts off the old tail where the new output is
-shorter.
+violation.  An error's code comes from its class (``exit_code``); the Fock
+engine and the elements raise ``FockbenchError`` itself, code 4, on a broken
+invariant, and an ``OSError`` is bad input.  Output CSVs are
+bit-deterministic in (bench bytes, flags, seed).  A rerun into an existing
+output directory rewrites each file in place, and cuts off the old tail
+where the new output is shorter.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .analysis import (
 from .bench import (
     Bench,
     BenchError,
-    _require_protocol_bench,
     load,
     parse_with_diagnostics,
     read_input,
@@ -253,7 +252,8 @@ def cmd_validate_bench(args: argparse.Namespace) -> int:
     errors = [d for d in diags if d.severity == "error"]
     if errors:
         return 3
-    _require_protocol_bench(bench)  # what run needs beyond a well-formed bench
+    # what run needs beyond a well-formed bench: ProtocolError otherwise
+    bench.photon_rows
     print(f"ok: {len(bench.path_names)} paths, {len(bench.pipeline)} elements, "
           f"{len(bench.detectors)} detectors")
     return 0

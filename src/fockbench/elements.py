@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from . import fock
-from .errors import BadParam, BadWiring, PolarizationMismatch
+from .errors import BadParam, FockbenchError
 from .fock import FockState, ModeId, Polarization
 
 H, V = Polarization.H, Polarization.V
@@ -64,7 +64,7 @@ def beam_splitter(path_a: int, path_b: int, theta: float) -> Element:
     if not (0.0 <= theta <= math.pi / 2):
         raise BadParam(f"beam splitter theta {theta} outside [0, pi/2]")
     if path_a == path_b:
-        raise BadWiring("beam splitter needs two distinct paths")
+        raise FockbenchError("beam splitter needs two distinct paths")
     c, s = math.cos(theta), math.sin(theta)
     u = np.array([[c, -s], [s, c]], dtype=complex)
     acts = (
@@ -87,7 +87,7 @@ def polarizing_bs(path_in_1: int, path_in_2: int, path_out_1: int, path_out_2: i
     """H transmits (in1->out1, in2->out2), V reflects (in1->out2, in2->out1)."""
     paths = (path_in_1, path_in_2, path_out_1, path_out_2)
     if len(set(paths)) != 4:
-        raise BadWiring(f"polarizing splitter paths collide: {paths}")
+        raise FockbenchError(f"polarizing splitter paths collide: {paths}")
     mapping = (
         (ModeId(path_in_1, H), ModeId(path_out_1, H)),
         (ModeId(path_out_1, H), ModeId(path_in_1, H)),
@@ -138,7 +138,7 @@ def apply_eop(state: FockState, mode_v: ModeId) -> FockState:
     returns the input bit-for-bit; H-polarized amplitudes are untouched.
     """
     if mode_v.pol is not V:
-        raise PolarizationMismatch(f"Pockels cell acts on V modes, got {mode_v}")
+        raise FockbenchError(f"Pockels cell acts on V modes, got {mode_v}")
     i = state.index_of(mode_v)
     out = {
         occ: (-amp if occ[i] % 2 else amp) for occ, amp in state.amplitudes.items()

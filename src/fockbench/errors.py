@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
 ``exit_code`` is the command line's exit code for a class: 2 usage, 3 bad
-input, and the base class's 4, an internal invariant violation.
+input, and the base class's 4, an internal invariant violation.  The Fock
+engine and the elements raise ``FockbenchError`` itself on a broken
+invariant.
 """
 
 
@@ -11,44 +13,10 @@ class FockbenchError(Exception):
     exit_code = 4
 
 
-# ---- state engine ----
-
-class EmptyModes(FockbenchError):
-    pass
-
-
-class DuplicateMode(FockbenchError):
-    pass
-
-
-class UnknownMode(FockbenchError):
-    pass
-
-
-class TruncationOverflow(FockbenchError):
-    pass
-
-
-class NonUnitary(FockbenchError):
-    pass
-
-
-class ImpossibleOutcome(FockbenchError):
-    pass
-
-
 # ---- optical elements ----
 
 class BadParam(FockbenchError):
     exit_code = 2
-
-
-class BadWiring(FockbenchError):
-    pass
-
-
-class PolarizationMismatch(FockbenchError):
-    pass
 
 
 # ---- stochastics ----

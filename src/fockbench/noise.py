@@ -1,13 +1,15 @@
 """Detector and channel noise: the model's knobs and the detector rule.
 
 Nothing here draws random numbers.  ``click_table`` gives the exact click
-probabilities of a detector pair for every photon count; the sweep averages
-it into each phase point's outcome table, and ``run_trial`` samples the
-same tables one shot at a time.
+probabilities of a detector pair for every photon count, and each
+``NoiseModel`` builds it once (``NoiseModel.clicks``); the sweep averages it
+into each phase point's outcome table, and ``run_trial`` samples the same
+tables one shot at a time.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -37,6 +39,14 @@ class NoiseModel:
             raise BadParam(f"dephasing sigma {self.dephasing_sigma} must be finite and >= 0")
         if not 0.0 <= self.dark_count_prob < 1.0:
             raise BadParam(f"dark count prob {self.dark_count_prob} outside [0, 1)")
+
+    @functools.cached_property
+    def clicks(self) -> np.ndarray:
+        """``click_table`` of this model, built on first use and read-only,
+        since every sweep and shot with the model reads the same array."""
+        table = click_table(self)
+        table.flags.writeable = False
+        return table
 
 
 @dataclass

@@ -19,7 +19,7 @@ contracted at five phase nodes only and the tables of any grid are
 interpolated from them exactly.  ``click_tables`` turns these into the exact
 (Alice, Bob) click-pattern tables of every phase of a grid, with the cell
 disarmed and fired, averaging the dephasing phase and the detectors
-(``noise.click_table``) in closed form.  ``run_sweep`` mixes the two tables
+(``NoiseModel.clicks``) in closed form.  ``run_sweep`` mixes the two tables
 by the race's arming probability (``timing``) in ``outcome_distribution``
 and draws the whole grid in one multinomial call on one stream: the cost of
 a sweep does not grow with the trial count.  ``run_trial`` samples the same
@@ -44,7 +44,7 @@ from . import fock
 from .bench import ALICE_DETECTORS, BOB_DETECTORS, Bench
 from .elements import apply_element, phase_shifter
 from .errors import BadParam, MalformedInput, ProtocolError
-from .noise import ClickPattern, NoiseModel, click_table
+from .noise import ClickPattern, NoiseModel
 from .timing import EventLog, TimingModel, race, shot_log
 
 PAIR_NAMES = ("D1-D1*", "D1-D2*", "D2-D1*", "D2-D2*")
@@ -338,11 +338,11 @@ def click_tables(bench: Bench, phis, noise: NoiseModel) -> np.ndarray:
 
     Rows index Alice's pattern and columns Bob's, both as click1 + 2 * click2
     over (D1, D2) and (D1*, D2*); each table sums to 1.  The dephasing phase
-    (``count_tables``) and the detectors (``noise.click_table``) are averaged
+    (``count_tables``) and the detectors (``NoiseModel.clicks``) are averaged
     out in closed form.  Firing the cell acts on Bob's side only, so both
     tables have the same row sums.
     """
-    clicks = click_table(noise)
+    clicks = noise.clicks
     return clicks.T @ count_tables(bench, phis, noise.dephasing_sigma) @ clicks
 
 

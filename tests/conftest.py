@@ -1,7 +1,10 @@
+import contextlib
+
 import numpy as np
 import pytest
 
 from fockbench.bench import builtin_figure1
+from fockbench.errors import FockbenchError
 
 
 @pytest.fixture
@@ -20,3 +23,12 @@ def haar_unitary(rng: np.random.Generator, n: int = 2) -> np.ndarray:
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     return q * (d / np.abs(d))
+
+
+@contextlib.contextmanager
+def raises_invariant(match: str):
+    """Expect ``FockbenchError`` itself, the broken-invariant error, with a
+    message matching ``match``: a subclass such as ``BadParam`` fails."""
+    with pytest.raises(FockbenchError, match=match) as excinfo:
+        yield
+    assert excinfo.type is FockbenchError

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fockbench import elements
+from fockbench import elements, noise
 from fockbench.bench import Bench, _require_protocol_bench, figure1_text, parse
 from fockbench.elements import phase_shifter
 from fockbench.errors import BadParam, ProtocolError
@@ -583,6 +583,21 @@ class TestOutcomeDistribution:
         want = np.loadtxt(DATA / "outcome_distribution.txt").reshape(-1, 4, 4)
         got = outcome_distribution(bench, cfg)
         assert np.abs(got - want).max() <= 1e-14
+
+
+def test_click_table_is_built_once_per_noise_model(bench, monkeypatch):
+    build, built = noise.click_table, []
+    monkeypatch.setattr(noise, "click_table", lambda model: built.append(model) or build(model))
+    cfg = RunConfig(mode=RunMode.ACTIVE, trials_per_phi=100, phi_grid=default_phi_grid(9),
+                    noise=dataclasses.replace(FULL_NOISE), timing=JITTERED)
+    rng = np.random.default_rng(3)
+    for i in range(50):
+        run_trial(bench, cfg.phi_grid[i % 9], cfg, rng)
+    run_sweep(bench, cfg, seed=1)
+    assert built == [cfg.noise]
+    assert np.array_equal(cfg.noise.clicks, build(cfg.noise))
+    with pytest.raises(ValueError, match="read-only"):
+        cfg.noise.clicks[0, 0] = 1.0
 
 
 class TestCountTables:
