@@ -5,10 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from fockbench import __version__, cli
+from fockbench import __version__, cli, elements, fock
 from fockbench.bench import BenchError, Diagnostic, figure1_text
 from fockbench.cli import _RUN_FLAGS, _parse_args, build_parser, main, sparkline
 from fockbench.errors import FockbenchError
+from fockbench.fock import ModeId, Polarization
 from fockbench.protocol import CSV_HEADER, PAIR_NAMES, default_phi_grid
 
 DATA = Path(__file__).parent / "data"
@@ -735,24 +736,50 @@ def test_every_error_class_has_its_listed_exit_code():
     assert {cls.__name__: cls.exit_code for cls in error_classes()} == EXIT_CODES
 
 
-@pytest.mark.parametrize("cls", list(error_classes()), ids=lambda cls: cls.__name__)
-def test_error_raised_from_a_command_exits_with_its_code(monkeypatch, capsys, cls):
+#: each broken invariant of the Fock engine and the elements, under the name
+#: of the exit-4 class it once had: a call that breaks it at its raise site
+_M = [ModeId(i, Polarization.V) for i in range(3)]
+INVARIANT_FAILURES = {
+    "EmptyModes": lambda: fock.make_vacuum([]),
+    "DuplicateMode": lambda: fock.make_vacuum([_M[0], _M[0]]),
+    "UnknownMode": lambda: fock.create_photon(fock.make_vacuum(_M[:2]), _M[2]),
+    "TruncationOverflow": lambda: fock.create_photon(fock.create_photon(
+        fock.create_photon(fock.make_vacuum(_M[:2]), _M[0]), _M[0]), _M[0]),
+    "NonUnitary": lambda: fock.apply_two_mode_unitary(
+        fock.make_vacuum(_M[:2]), _M[0], _M[1], [[1, 0], [0, 2]]),
+    "ImpossibleOutcome": lambda: fock.make_vacuum(_M[:2])._replace({}).renormalized(),
+    "BadWiring": lambda: elements.beam_splitter(0, 0, 0.5),
+    "PolarizationMismatch": lambda: elements.apply_eop(
+        fock.make_vacuum(_M[:1]), ModeId(0, Polarization.H)),
+}
+
+
+@pytest.mark.parametrize("name", [*(cls.__name__ for cls in error_classes()),
+                                  *INVARIANT_FAILURES])
+def test_error_raised_from_a_command_exits_with_its_code(monkeypatch, capsys, name):
     diagnostics = [Diagnostic("bad-wiring", "boom", line=1),
                    Diagnostic("syntax", "bang", line=2)]
-    exc = cls(diagnostics) if cls is BenchError else cls("boom")
+    if name in INVARIANT_FAILURES:  # FockbenchError itself, from its raise site
+        with pytest.raises(FockbenchError) as excinfo:
+            INVARIANT_FAILURES[name]()
+        assert excinfo.type is FockbenchError
+        exc, code = excinfo.value, 4
+    else:
+        cls = {cls.__name__: cls for cls in error_classes()}[name]
+        exc = cls(diagnostics) if cls is BenchError else cls("boom")
+        code = EXIT_CODES[name]
 
     def fail(path):
         raise exc
 
     monkeypatch.setattr(cli, "read_input", fail)
-    assert run_cli("analyze", "fringe.csv") == EXIT_CODES[cls.__name__]
+    assert run_cli("analyze", "fringe.csv") == code
     out, err = capsys.readouterr()
     assert out == ""
-    if cls is BenchError:  # its diagnostics, one per line
+    if name == "BenchError":  # its diagnostics, one per line
         assert err == "1:1: error: bad-wiring: boom\n2:1: error: syntax: bang\n"
     else:
-        assert err == ("internal error: boom\n" if EXIT_CODES[cls.__name__] == 4
-                       else "error: boom\n")
+        assert err == (f"internal error: {exc}\n" if code == 4 else "error: boom\n")
 
 
 class TestReproducePaper:
