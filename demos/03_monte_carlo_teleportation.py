@@ -12,10 +12,9 @@ passive D1 fringe, and arming the cell snaps it back.
 
 import numpy as np
 
-from fockbench import RunConfig, RunMode, builtin_figure1, fit_fringe, run_sweep, run_trial
-from fockbench.analysis import wrap_phase
+from fockbench import RunConfig, RunMode, builtin_figure1, paper_runs, run_trial
+from fockbench.analysis import fit_fringes, wrap_phase
 from fockbench.cli import sparkline
-from fockbench.protocol import default_phi_grid
 
 bench = builtin_figure1()
 rng = np.random.default_rng(7)
@@ -30,22 +29,15 @@ for _ in range(10):
     tag = "discarded" if rec.discarded else ("corrected" if rec.corrected else "kept")
     print(f"  {rec.bell.name:9s} alice[{a:2s}] bob[{b:3s}] {tag}")
 
-# 2: fringe sweeps, 1e5 trials per point
-grid = default_phi_grid(25)
-runs = {}
-for mode, seed in [(RunMode.PASSIVE, 1), (RunMode.ACTIVE_INHIBITED, 2), (RunMode.ACTIVE, 3)]:
-    cfg = RunConfig(mode=mode, trials_per_phi=100_000, phi_grid=grid)
-    runs[mode] = run_sweep(bench, cfg, seed=seed)
+# 2: the paper's three fringe sweeps, noiseless, 1e5 trials per point
+_, runs = paper_runs(bench, 100_000, 25, 1, 1.0, 1.0)
 
 print("\ncoincidence fringes (1e5 trials/point):")
-print(f"  passive   D1-D2* {sparkline(runs[RunMode.PASSIVE].counts['D1-D2*'])}")
-print(f"  inhibited D2-D2* {sparkline(runs[RunMode.ACTIVE_INHIBITED].counts['D2-D2*'])}")
-print(f"  active    D2-D2* {sparkline(runs[RunMode.ACTIVE].counts['D2-D2*'])}")
+for name, pair, data in runs:
+    print(f"  {name:9s} {pair} {sparkline(data.counts[pair])}")
 
-phi = np.array(grid)
-fit_passive = fit_fringe(phi, runs[RunMode.PASSIVE].counts["D1-D2*"])
-fit_inhib = fit_fringe(phi, runs[RunMode.ACTIVE_INHIBITED].counts["D2-D2*"])
-fit_active = fit_fringe(phi, runs[RunMode.ACTIVE].counts["D2-D2*"])
+fit_passive, fit_inhib, fit_active = fit_fringes(
+    runs[0][2].phi_grid, [data.counts[pair] for _, pair, data in runs])
 
 print(f"\npassive D1 fringe:   V={fit_passive.visibility:.4f}  phi0={fit_passive.phi0:+.4f}")
 print(f"inhibited D2 fringe: V={fit_inhib.visibility:.4f}  phi0={fit_inhib.phi0:+.4f}"

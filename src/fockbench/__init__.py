@@ -11,12 +11,12 @@ and fidelity figures.
 from .fock import ModeId, Polarization, apply_two_mode_unitary, create_photon, make_vacuum
 from .elements import apply_eop
 from .bench import builtin_figure1
-from .noise import calibrate_sigma
 from .timing import TimingModel, race
 from .protocol import (
     RunConfig,
     RunMode,
     analytic_coincidences,
+    paper_runs,
     phase_from_position,
     position_from_phase,
     run_sweep,
@@ -37,13 +37,13 @@ __all__ = [
     "apply_two_mode_unitary",
     "apply_eop",
     "builtin_figure1",
-    "calibrate_sigma",
     "TimingModel",
     "race",
     "RunMode",
     "RunConfig",
     "run_trial",
     "run_sweep",
+    "paper_runs",
     "analytic_coincidences",
     "phase_from_position",
     "position_from_phase",

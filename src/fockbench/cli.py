@@ -37,13 +37,15 @@ from .bench import (
     read_input,
 )
 from .errors import BadParam, FockbenchError, GridMismatch, MalformedInput
-from .noise import NoiseModel, calibrate_sigma
+from .noise import NoiseModel
 from .protocol import (
     PAIR_NAMES,
+    PAPER_VISIBILITIES,
     FringeData,
     RunConfig,
     RunMode,
     default_phi_grid,
+    paper_runs,
     run_sweep,
     run_trial,
 )
@@ -259,36 +261,17 @@ def cmd_validate_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-#: reproduce-paper's runs, seeded seed + index: (name, mode, fitted pair).
-#: Passive exact teleportation shows on (D1, D2*); the D2-triggered state
-#: shows on (D2, D2*): sigma_z-flipped when inhibited, restored when active
-_PAPER_RUNS = (
-    ("passive", RunMode.PASSIVE, "D1-D2*"),
-    ("inhibited", RunMode.ACTIVE_INHIBITED, "D2-D2*"),
-    ("active", RunMode.ACTIVE, "D2-D2*"),
-)
-
-
 def cmd_reproduce_paper(args: argparse.Namespace) -> int:
     """Three sweeps mirroring the bench's headline figure and fidelities."""
-    bench = load(args.bench)
-    sigma_passive = calibrate_sigma(1.0, args.passive_visibility)
-    sigma_added = calibrate_sigma(args.passive_visibility, args.active_visibility)
-    sigma_total = math.hypot(sigma_passive, sigma_added)
-
-    grid = default_phi_grid(args.phi_steps)
-    runs = []  # (name, fitted pair, fringe data)
-    for k, (name, mode, pair) in enumerate(_PAPER_RUNS):
-        sigma = sigma_passive if mode is RunMode.PASSIVE else sigma_total
-        cfg = RunConfig(mode=mode, trials_per_phi=args.trials, phi_grid=grid,
-                        noise=NoiseModel(dephasing_sigma=sigma))
-        runs.append((name, pair, run_sweep(bench, cfg, seed=args.seed + k)))
+    (sigma_passive, sigma_added, sigma_total), runs = paper_runs(
+        load(args.bench), args.trials, args.phi_steps, args.seed,
+        args.passive_visibility, args.active_visibility)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         for name, _, data in runs:
             _write_text(out / f"{name}.csv", data.to_csv())
-    fitted = fit_fringes(grid, [data.counts[pair] for _, pair, data in runs])
+    fitted = fit_fringes(runs[0][2].phi_grid, [data.counts[pair] for _, pair, data in runs])
     fits = {name: fit for (name, _, _), fit in zip(runs, fitted)}
 
     print(f"dephasing: passive sigma={sigma_passive:.4f} rad, "
@@ -382,8 +365,8 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     p_rep.add_argument("--seed", type=int, default=0)
     p_rep.add_argument("--bench", default=None)
     p_rep.add_argument("--out", default=None)
-    p_rep.add_argument("--passive-visibility", type=float, default=0.906)
-    p_rep.add_argument("--active-visibility", type=float, default=0.80)
+    p_rep.add_argument("--passive-visibility", type=float, default=PAPER_VISIBILITIES[0])
+    p_rep.add_argument("--active-visibility", type=float, default=PAPER_VISIBILITIES[1])
     p_rep.set_defaults(func=cmd_reproduce_paper)
     return parser, sub.choices
 

@@ -85,7 +85,8 @@ class FockState:
         return self.amplitudes.get(tuple(occ), 0j)
 
     def norm_sq(self) -> float:
-        return sum(abs(a) ** 2 for a in self.amplitudes.values())
+        """Sum of squared amplitudes, rounded once: insertion order can't change it."""
+        return math.fsum(abs(a) ** 2 for a in self.amplitudes.values())
 
     def _replace(self, amplitudes: Mapping[Occupation, complex]) -> "FockState":
         return FockState(self.modes, amplitudes)
@@ -227,7 +228,7 @@ def relabel_modes(state: FockState, mapping: Mapping[ModeId, ModeId]) -> FockSta
 def partial_probability(state: FockState, pattern: Mapping[ModeId, int]) -> float:
     """Probability that the constrained modes carry exactly ``pattern``."""
     constraints = [(state.index_of(m), n) for m, n in pattern.items()]
-    return sum(
+    return math.fsum(  # rounded once, as norm_sq
         abs(a) ** 2 for occ, a in state.amplitudes.items()
         if all(occ[i] == n for i, n in constraints)
     )

@@ -44,7 +44,7 @@ from . import fock
 from .bench import ALICE_DETECTORS, BOB_DETECTORS, Bench
 from .elements import apply_element, phase_shifter
 from .errors import BadParam, MalformedInput, ProtocolError
-from .noise import ClickPattern, NoiseModel
+from .noise import ClickPattern, NoiseModel, calibrate_sigma
 from .timing import EventLog, TimingModel, race, shot_log
 
 PAIR_NAMES = ("D1-D1*", "D1-D2*", "D2-D1*", "D2-D2*")
@@ -431,6 +431,40 @@ def run_sweep(
     kept = draws.sum(axis=(1, 2))
     total = np.full(len(grid), cfg.trials_per_phi, dtype=np.int64)
     return FringeData(tuple(grid), counts, kept, total)
+
+
+#: the paper's runs, seeded seed + index: (name, mode, fitted pair).
+#: Passive exact teleportation shows on (D1, D2*); the D2-triggered state
+#: shows on (D2, D2*): sigma_z-flipped when inhibited, restored when active
+PAPER_RUNS = (
+    ("passive", RunMode.PASSIVE, "D1-D2*"),
+    ("inhibited", RunMode.ACTIVE_INHIBITED, "D2-D2*"),
+    ("active", RunMode.ACTIVE, "D2-D2*"),
+)
+#: the paper's passive and active fringe visibilities
+PAPER_VISIBILITIES = (0.906, 0.80)
+
+
+def paper_runs(bench: Bench, trials: int, phi_steps: int, seed: int,
+               v_passive: float, v_active: float):
+    """Sweep the paper's runs (``PAPER_RUNS``) at seeds seed, seed + 1, ...
+
+    The passive run's dephasing takes a perfect fringe to ``v_passive``; the
+    others add in quadrature the delay line's, which takes ``v_passive`` to
+    ``v_active``.  Returns (sigma_passive, sigma_added, sigma_total) and a
+    (name, fitted pair, ``FringeData``) per run.
+    """
+    sigma_passive = calibrate_sigma(1.0, v_passive)
+    sigma_added = calibrate_sigma(v_passive, v_active)
+    sigma_total = math.hypot(sigma_passive, sigma_added)
+    grid = default_phi_grid(phi_steps)
+    runs = []
+    for k, (name, mode, pair) in enumerate(PAPER_RUNS):
+        sigma = sigma_passive if mode is RunMode.PASSIVE else sigma_total
+        cfg = RunConfig(mode=mode, trials_per_phi=trials, phi_grid=grid,
+                        noise=NoiseModel(dephasing_sigma=sigma))
+        runs.append((name, pair, run_sweep(bench, cfg, seed=seed + k)))
+    return (sigma_passive, sigma_added, sigma_total), runs
 
 
 def analytic_coincidences(bench: Bench, phi: float) -> AnalyticCoincidences:

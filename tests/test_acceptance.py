@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from fockbench.analysis import error_propagation, fidelity_from_visibility, fit_fringe, wrap_phase
+from fockbench.analysis import error_propagation, fidelity_from_visibility, fit_fringes, wrap_phase
 from fockbench.bench import builtin_figure1
 from fockbench.elements import apply_eop
 from fockbench.fock import (
@@ -20,13 +20,15 @@ from fockbench.fock import (
     create_photon,
     make_vacuum,
 )
-from fockbench.noise import NoiseModel, calibrate_sigma
+from fockbench.noise import NoiseModel
 from fockbench.protocol import (
     PAIR_NAMES,
+    PAPER_VISIBILITIES,
     RunConfig,
     RunMode,
     analytic_coincidences,
     default_phi_grid,
+    paper_runs,
     run_sweep,
     run_trial,
 )
@@ -90,21 +92,14 @@ def test_criterion_2_monte_carlo_matches_analytic(bench):
            f"25x1e5 trials vs analytic: worst |z| {worst_z:.2f} (<= 3), {elapsed:.1f}s (< 60s)")
 
 
+def paper_fits(bench, trials, v_passive, v_active):
+    """The fringe fits of the paper's three runs at seed SEED, 25 phases."""
+    _, runs = paper_runs(bench, trials, 25, SEED, v_passive, v_active)
+    return fit_fringes(runs[0][2].phi_grid, [data.counts[pair] for _, pair, data in runs])
+
+
 def test_criterion_3_active_correction_phase(bench):
-    grid = default_phi_grid(25)
-
-    def sweep(mode, seed):
-        cfg = RunConfig(mode=mode, trials_per_phi=100_000, phi_grid=grid)
-        return run_sweep(bench, cfg, seed=seed, workers=1)
-
-    passive = sweep(RunMode.PASSIVE, SEED)
-    inhibited = sweep(RunMode.ACTIVE_INHIBITED, SEED + 1)
-    active = sweep(RunMode.ACTIVE, SEED + 2)
-
-    phi = np.array(grid)
-    fit_passive = fit_fringe(phi, passive.counts["D1-D2*"])
-    fit_active = fit_fringe(phi, active.counts["D2-D2*"])
-    fit_inhib = fit_fringe(phi, inhibited.counts["D2-D2*"])
+    fit_passive, fit_inhib, fit_active = paper_fits(bench, 100_000, 1.0, 1.0)
     d_active = wrap_phase(fit_active.phi0 - fit_passive.phi0)
     d_inhib = abs(wrap_phase(fit_inhib.phi0 - fit_passive.phi0))
     ok = abs(d_active) <= 0.05 and abs(d_inhib - math.pi) <= 0.05
@@ -117,20 +112,7 @@ def test_criterion_4_headline_fidelity_figures(bench):
     # dephasing calibrated from the target visibilities, so this closes the
     # loop through propagation, post-selection and the fringe fit rather
     # than predicting the figures independently
-    sigma_passive = calibrate_sigma(1.0, 0.906)
-    sigma_total = math.hypot(sigma_passive, calibrate_sigma(0.906, 0.80))
-    grid = default_phi_grid(25)
-
-    cfg_p = RunConfig(mode=RunMode.PASSIVE, trials_per_phi=20_000, phi_grid=grid,
-                      noise=NoiseModel(dephasing_sigma=sigma_passive))
-    cfg_a = RunConfig(mode=RunMode.ACTIVE, trials_per_phi=20_000, phi_grid=grid,
-                      noise=NoiseModel(dephasing_sigma=sigma_total))
-    passive = run_sweep(bench, cfg_p, seed=SEED)
-    active = run_sweep(bench, cfg_a, seed=SEED + 2)
-
-    phi = np.array(grid)
-    fit_p = fit_fringe(phi, passive.counts["D1-D2*"])
-    fit_a = fit_fringe(phi, active.counts["D2-D2*"])
+    fit_p, _, fit_a = paper_fits(bench, 20_000, *PAPER_VISIBILITIES)
     f_passive = fidelity_from_visibility(fit_p.visibility)
     f_active = fidelity_from_visibility(fit_a.visibility)
     ok = abs(f_passive - 0.953) <= 0.01 and abs(f_active - 0.90) <= 0.02

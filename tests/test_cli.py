@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import stat
@@ -797,6 +798,34 @@ class TestReproducePaper:
         assert (tmp_path / "passive.csv").exists()
         assert (tmp_path / "active.csv").exists()
 
+    def test_output_is_frozen(self, tmp_path, capsys):
+        """The stdout and CSVs of one small run, as SHA-256: they pin the
+        runs' definition and their random streams."""
+        code = run_cli("reproduce-paper", "--seed", "5", "--trials", "3000",
+                       "--phi-steps", "9", "--out", str(tmp_path))
+        assert code == 0
+        outputs = {"stdout": capsys.readouterr().out.encode()}
+        for name in ("passive", "inhibited", "active"):
+            outputs[name] = (tmp_path / f"{name}.csv").read_bytes()
+        assert {key: hashlib.sha256(b).hexdigest() for key, b in outputs.items()} == {
+            "stdout": "b60f68e4b9f8d5a0c0371d15903aaac3b5f1408ef1ffe672de4bfa8585cf135f",
+            "passive": "f15bf91bc4f4fcece10c02b140bb9861a7fb56b6608dc6e77454176e363437ee",
+            "inhibited": "3baa56dab9100d4a75ca09139bc8500fa28aaa433745dcb92d9f82874c3815d7",
+            "active": "77c3158e9c64b5a659269eb22c4f8d62d34f23ce0c04569a2953329e26602bb9",
+        }
+
+    def test_csvs_are_written_before_a_failing_fit(self, tmp_path, capsys):
+        # one trial per phase point leaves a fringe that cannot be fitted;
+        # the three CSVs are written before the fit fails
+        code = run_cli("reproduce-paper", "--trials", "1", "--phi-steps", "5",
+                       "--passive-visibility", "1", "--active-visibility", "1",
+                       "--out", str(tmp_path))
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == "error: non-positive fitted amplitude 0\n"
+        for name in ("passive", "inhibited", "active"):
+            assert (tmp_path / f"{name}.csv").read_text().startswith(CSV_HEADER + "\n")
 
     # the active visibility cannot exceed the passive 0.906
     @pytest.mark.parametrize("flags", [("--active-visibility", "0.95"), ("--seed", "-1")])

@@ -1,8 +1,11 @@
+import itertools
 import math
+import random
 
 import pytest
 
 from fockbench.fock import (
+    FockState,
     ModeId,
     Polarization,
     apply_phase,
@@ -165,6 +168,21 @@ class TestPartialProbability:
     def test_unknown_mode(self):
         with raises_invariant("not in state"):
             partial_probability(singlet(), {M[5]: 1})
+
+
+def test_sums_do_not_depend_on_insertion_order():
+    rng = random.Random(0)
+    basis = [occ for occ in itertools.product(range(3), repeat=4) if sum(occ) <= 2]
+    modes = tuple(M[:4])
+    for _ in range(200):
+        entries = [(occ, complex(rng.gauss(0, 1), rng.gauss(0, 1)))
+                   for occ in rng.sample(basis, 5)]
+        forward = FockState(modes, dict(entries))
+        backward = FockState(modes, dict(reversed(entries)))
+        assert forward.norm_sq() == backward.norm_sq()
+        for pattern in ({}, {M[0]: 0}):
+            assert (partial_probability(forward, pattern)
+                    == partial_probability(backward, pattern))
 
 
 class TestRenormalized:

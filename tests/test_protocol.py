@@ -18,6 +18,7 @@ from fockbench.protocol import (
     FIRING_PATTERN,
     KEPT_PATTERNS,
     PAIR_NAMES,
+    PAPER_RUNS,
     BellOutcome,
     RunConfig,
     RunMode,
@@ -26,6 +27,7 @@ from fockbench.protocol import (
     count_tables,
     default_phi_grid,
     outcome_distribution,
+    paper_runs,
     phase_from_position,
     position_from_phase,
     run_sweep,
@@ -315,6 +317,22 @@ class TestRunSweep:
         assert all((back.counts[p] == data.counts[p]).all() for p in PAIR_NAMES)
         assert (back.trials_kept == data.trials_kept).all()
         assert (back.trials_total == data.trials_total).all()
+
+
+class TestPaperRuns:
+    def test_unit_visibilities_give_the_noiseless_sweeps(self, bench):
+        sigmas, runs = paper_runs(bench, 2000, 9, 3, 1.0, 1.0)
+        assert sigmas == (0.0, 0.0, 0.0)
+        assert [run[:2] for run in runs] == [(name, pair) for name, _, pair in PAPER_RUNS]
+        for seed, (_, mode, _), (_, _, data) in zip((3, 4, 5), PAPER_RUNS, runs):
+            cfg = RunConfig(mode=mode, trials_per_phi=2000, phi_grid=default_phi_grid(9),
+                            noise=NoiseModel())
+            want = run_sweep(bench, cfg, seed=seed)
+            assert data.phi_grid == want.phi_grid
+            for pair in PAIR_NAMES:
+                np.testing.assert_array_equal(data.counts[pair], want.counts[pair])
+            np.testing.assert_array_equal(data.trials_kept, want.trials_kept)
+            np.testing.assert_array_equal(data.trials_total, want.trials_total)
 
 
 def chi2_sf(x: float, dof: int) -> float:
