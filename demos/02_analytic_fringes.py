@@ -1,7 +1,8 @@
 """Closed-form coincidence fringes of the built-in bench, no sampling.
 
-Propagates the full two-photon state through every element exactly and
-projects onto each (Alice, Bob) detector pair.  The post-selected
+Reads each (Alice, Bob) detector pair's lone-click cell off the bench's
+exact two-photon count tables, the same tables every sweep and shot samples,
+with the Pockels cell disarmed and no noise.  The post-selected
 probabilities follow cos^2(phi/2)/2 and sin^2(phi/2)/2 and always sum to 1;
 half of all shots are idle, which is the 50% ceiling of this linear-optics
 Bell measurement.

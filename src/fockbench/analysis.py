@@ -53,7 +53,7 @@ def fit_fringes(phi: np.ndarray, counts) -> list[FitResult]:
     side, and each row's 3x3 normal equations are solved in closed form.  A
     row's fit does not depend on the other rows.  A singular normal matrix
     or a non-positive fitted amplitude in any row raises
-    ``FitUnderdetermined``.
+    ``FitUnderdetermined`` with that row's index.
     """
     try:
         phi = np.asarray(phi, dtype=float)
@@ -79,13 +79,13 @@ def fit_fringes(phi: np.ndarray, counts) -> list[FitResult]:
     # w * y its right-hand side, the three moments with x_0 = 1
     moments = (np.concatenate([w, w * y]) @ (x[:, None] * x).reshape(9, -1).T).tolist()
     coefs, covs = [], []
-    for (s00, s01, s02, _, s11, s12, _, _, s22), (r0, r1, r2, *_) in zip(moments[:n],
-                                                                      moments[n:]):
+    for row, ((s00, s01, s02, _, s11, s12, _, _, s22), (r0, r1, r2, *_)) in enumerate(
+            zip(moments[:n], moments[n:])):
         # the symmetric normal matrix's inverse, from its cofactors
         c00, c01, c02 = s11 * s22 - s12 * s12, s02 * s12 - s01 * s22, s01 * s12 - s02 * s11
         det = s00 * c00 + s01 * c01 + s02 * c02
         if det == 0:
-            raise FitUnderdetermined("singular normal matrix")
+            raise FitUnderdetermined("singular normal matrix", row)
         c11, c12, c22 = s00 * s22 - s02 * s02, s01 * s02 - s00 * s12, s00 * s11 - s01 * s01
         cov = ((c00 / det, c01 / det, c02 / det), (c01 / det, c11 / det, c12 / det),
                (c02 / det, c12 / det, c22 / det))
@@ -97,9 +97,9 @@ def fit_fringes(phi: np.ndarray, counts) -> list[FitResult]:
     dof = len(phi) - 3
 
     fits = []
-    for (a, b, c), cov, chi2_row in zip(coefs, covs, chi2):
+    for row, ((a, b, c), cov, chi2_row) in enumerate(zip(coefs, covs, chi2)):
         if a <= 0:
-            raise FitUnderdetermined(f"non-positive fitted amplitude {a:.3g}")
+            raise FitUnderdetermined(f"non-positive fitted amplitude {a:.3g}", row)
         r = math.hypot(b, c)
         v_raw = r / a
         phase_locked = v_raw > 1e-6

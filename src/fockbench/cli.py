@@ -36,7 +36,7 @@ from .bench import (
     parse_with_diagnostics,
     read_input,
 )
-from .errors import BadParam, FockbenchError, GridMismatch, MalformedInput
+from .errors import BadParam, FitUnderdetermined, FockbenchError, GridMismatch, MalformedInput
 from .noise import NoiseModel
 from .protocol import (
     PAIR_NAMES,
@@ -194,12 +194,22 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _fit_named(phi, names, counts) -> dict:
+    """``fit_fringes(phi, counts)`` by name; a fringe that fails is named in the error."""
+    try:
+        return dict(zip(names, fit_fringes(phi, counts)))
+    except FitUnderdetermined as exc:
+        if exc.row is None:  # the grid fails every fringe
+            raise
+        raise FitUnderdetermined(f"{names[exc.row]} fit: {exc}", exc.row) from None
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
     data = FringeData.from_csv(read_input(args.fringe_csv))
-    fits = fit_fringes(data.phi_grid, [data.counts[pair] for pair in PAIR_NAMES])
+    fits = _fit_named(data.phi_grid, PAIR_NAMES, [data.counts[pair] for pair in PAIR_NAMES])
     lines = [f"# {args.fringe_csv}: {len(data.phi_grid)} phase points, "
              f"{sum(data.trials_total.tolist())} trials"]  # Python ints: no int64 wrap
-    for pair, fit in zip(PAIR_NAMES, fits):
+    for pair, fit in fits.items():
         f = fidelity_from_visibility(fit.visibility)
         sf = error_propagation(fit)
         beats = classical_bound_check(f)
@@ -230,8 +240,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     data_b = FringeData.from_csv(read_input(args.run_b))
     if data_a.phi_grid != data_b.phi_grid:
         raise GridMismatch("phase grids differ between the two runs")
-    fit_a, fit_b = fit_fringes(data_a.phi_grid, [data_a.counts[args.pair_a],
-                                                 data_b.counts[args.pair_b]])
+    fit_a, fit_b = _fit_named(data_a.phi_grid, "AB", [data_a.counts[args.pair_a],
+                                                      data_b.counts[args.pair_b]]).values()
     dphi = wrap_phase(fit_a.phi0 - fit_b.phi0)
     dv = fit_a.visibility - fit_b.visibility
     sigma_dphi = math.hypot(fit_a.sigma_phi0, fit_b.sigma_phi0)
@@ -271,8 +281,8 @@ def cmd_reproduce_paper(args: argparse.Namespace) -> int:
         out.mkdir(parents=True, exist_ok=True)
         for name, _, data in runs:
             _write_text(out / f"{name}.csv", data.to_csv())
-    fitted = fit_fringes(runs[0][2].phi_grid, [data.counts[pair] for _, pair, data in runs])
-    fits = {name: fit for (name, _, _), fit in zip(runs, fitted)}
+    fits = _fit_named(runs[0][2].phi_grid, [name for name, _, _ in runs],
+                      [data.counts[pair] for _, pair, data in runs])
 
     print(f"dephasing: passive sigma={sigma_passive:.4f} rad, "
           f"delay-line adds {sigma_added:.4f} rad (total {sigma_total:.4f})")

@@ -30,6 +30,10 @@ class BadCalibration(FockbenchError):
 class FitUnderdetermined(FockbenchError):
     exit_code = 3
 
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row  # the fringe that fails in a stack; None: the grid fails all
+
 
 # ---- protocol / cli ----
 

@@ -27,8 +27,7 @@ tables one shot at a time, Alice's pattern and then Bob's given hers, and
 draws only the race; ``timing.shot_log`` builds its event log from Alice's
 clicks and the race.  Both run the bench exactly as given
 (``Bench.with_input_theta`` and ``Bench.with_delay_m`` retune it).
-``analytic_coincidences`` derives the noiseless fringe independently, by
-Fock-state projection.
+``analytic_coincidences`` reads the noiseless fringe off the same tables.
 """
 
 from __future__ import annotations
@@ -40,9 +39,7 @@ from enum import Enum
 
 import numpy as np
 
-from . import fock
 from .bench import ALICE_DETECTORS, BOB_DETECTORS, Bench
-from .elements import apply_element, phase_shifter
 from .errors import BadParam, MalformedInput, ProtocolError
 from .noise import ClickPattern, NoiseModel, calibrate_sigma
 from .timing import EventLog, TimingModel, race, shot_log
@@ -468,27 +465,15 @@ def paper_runs(bench: Bench, trials: int, phi_steps: int, seed: int,
 
 
 def analytic_coincidences(bench: Bench, phi: float) -> AnalyticCoincidences:
-    """Exact post-selected pair probabilities via Fock projection, no sampling.
+    """Exact post-selected pair probabilities at ``phi``, no sampling.
 
-    The Pockels cell stays disarmed, matching the bench's closed-form
-    description of the uncorrected coincidence fringes.
+    They are the lone-click cells of the noiseless ``count_tables`` with the
+    Pockels cell disarmed, matching the bench's closed-form description of
+    the uncorrected coincidence fringes.
     """
-    st = fock.make_vacuum(bench.modes)
-    for m in bench.sources:
-        st = fock.create_photon(st, m)
-    for e in bench.pipeline:
-        if e.is_knob:
-            e = phase_shifter(e.paths[0], phi, knob=True)
-        st = apply_element(st, e)
-    det = bench.detectors
-    raw: dict[str, float] = {}
-    for ai in ALICE_DETECTORS:
-        for bj in BOB_DETECTORS:
-            pattern = {det[d]: 0 for d in ALICE_DETECTORS + BOB_DETECTORS}
-            pattern[det[ai]] = 1
-            pattern[det[bj]] = 1
-            raw[f"{ai}-{bj}"] = fock.partial_probability(st, pattern)
-    total = sum(raw.values())
+    # a lone D1 or D2 photon is row 1 or 3, a lone D1* or D2* column 1 or 3
+    cells = count_tables(bench, (phi,))[0, 0][np.ix_((1, 3), (1, 3))].ravel().tolist()
+    total = sum(cells)
     if total <= 0:
         raise ProtocolError("no coincidence amplitude at this phase")
-    return AnalyticCoincidences({k: v / total for k, v in raw.items()}, total)
+    return AnalyticCoincidences({p: c / total for p, c in zip(PAIR_NAMES, cells)}, total)

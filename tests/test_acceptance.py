@@ -35,7 +35,7 @@ from fockbench.protocol import (
 from fockbench.timing import TimingModel, race
 
 from conftest import haar_unitary
-from oracle_util import oracle_amplitudes
+from oracle_util import fock_coincidences, oracle_amplitudes
 
 SEED = 42
 V = Polarization.V
@@ -78,10 +78,10 @@ def test_criterion_2_monte_carlo_matches_analytic(bench):
     elapsed = time.perf_counter() - t0
     worst_z = 0.0
     for i, phi in enumerate(data.phi_grid):
-        ac = analytic_coincidences(bench, phi)
+        ref = fock_coincidences(bench, phi)
         kept = int(data.trials_kept[i])
         for pair in PAIR_NAMES:
-            p = ac.pairs[pair]
+            p = ref.pairs[pair]
             sd = math.sqrt(max(kept * p * (1.0 - p), 1e-30))
             z = abs(int(data.counts[pair][i]) - kept * p) / max(sd, 1e-15)
             if sd > 1e-10:
@@ -89,7 +89,7 @@ def test_criterion_2_monte_carlo_matches_analytic(bench):
             else:
                 assert int(data.counts[pair][i]) == 0
     report(2, worst_z <= 3.0 and elapsed < 60.0,
-           f"25x1e5 trials vs analytic: worst |z| {worst_z:.2f} (<= 3), {elapsed:.1f}s (< 60s)")
+           f"25x1e5 trials vs Fock projection: worst |z| {worst_z:.2f} (<= 3), {elapsed:.1f}s (< 60s)")
 
 
 def paper_fits(bench, trials, v_passive, v_active):

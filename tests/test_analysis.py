@@ -185,8 +185,23 @@ class TestFitFringes:
     def test_a_non_positive_amplitude_in_any_row_is_rejected(self, bad_row):
         counts = np.array([model(50.0, 0.5, 1.0)] * 3)
         counts[bad_row] = -counts[bad_row]
-        with pytest.raises(FitUnderdetermined, match="non-positive fitted amplitude -50"):
+        with pytest.raises(FitUnderdetermined, match="non-positive fitted amplitude -50") as exc:
             fit_fringes(PHI, counts)
+        assert exc.value.row == bad_row
+
+    @pytest.mark.parametrize("bad_row", [0, 1, 2])
+    def test_a_singular_row_is_named(self, bad_row):
+        # weights of 1e-300 underflow that row's normal determinant to 0
+        counts = np.array([model(50.0, 0.5, 1.0)] * 3)
+        counts[bad_row] = 1e300
+        with pytest.raises(FitUnderdetermined, match="singular normal matrix") as exc:
+            fit_fringes(PHI, counts)
+        assert exc.value.row == bad_row
+
+    def test_a_grid_too_coarse_for_every_row_names_none(self):
+        with pytest.raises(FitUnderdetermined) as exc:
+            fit_fringes(PHI[:3], [model(10.0, 0.5, 0.0, PHI[:3])] * 2)
+        assert exc.value.row is None
 
     def test_an_empty_stack_gives_no_fits(self):
         assert fit_fringes(PHI, np.empty((0, len(PHI)))) == []

@@ -627,6 +627,14 @@ class TestAnalyze:
         else:
             assert err == "" and out.startswith("# ")
 
+    def test_a_failing_fit_names_its_pair(self, tmp_path, capsys):
+        csv = tmp_path / "dark.csv"
+        csv.write_text(unfittable_csv("D2-D1*"))
+        assert run_cli("analyze", str(csv)) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: D2-D1* fit: non-positive fitted amplitude 0\n"
+
     def test_noiseless_run_beats_bound(self, tmp_path, capsys):
         run_cli("run", "--trials", "5000", "--phi-steps", "9", "--seed", "2",
                 "--out", str(tmp_path))
@@ -634,6 +642,18 @@ class TestAnalyze:
         run_cli("analyze", str(tmp_path / "fringe.csv"))
         out = capsys.readouterr().out
         assert "D1-D2s.beats_classical_bound=true" in out
+
+
+def unfittable_csv(dark_pair):
+    """A five-phase fringe CSV whose ``dark_pair`` never clicks, so that its
+    fringe has no positive amplitude to fit; the other pairs fit."""
+    rows = [CSV_HEADER]
+    for phi in default_phi_grid(5):
+        swing = round(200 * math.cos(phi))
+        for pair, c in zip(PAIR_NAMES, (300 + swing, 300 - swing, 300 - swing,
+                                        300 + swing)):
+            rows.append(f"{phi:.17g},{pair},{0 if pair == dark_pair else c},1000,2000")
+    return "\n".join(rows) + "\n"
 
 
 class TestCompare:
@@ -659,6 +679,18 @@ class TestCompare:
                        str(tmp_path / "b" / "fringe.csv"))
         assert code == 3
         assert capsys.readouterr().err == "error: phase grids differ between the two runs\n"
+
+    @pytest.mark.parametrize("failing", ["A", "B"])
+    def test_a_failing_fit_names_its_run(self, tmp_path, capsys, failing):
+        csv = tmp_path / "dark.csv"
+        csv.write_text(unfittable_csv("D2-D1*"))
+        pairs = {"A": ("D2-D1*", "D1-D2*"), "B": ("D1-D2*", "D2-D1*")}[failing]
+        code = run_cli("compare", str(csv), str(csv), "--pair-a", pairs[0],
+                       "--pair-b", pairs[1])
+        assert code == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {failing} fit: non-positive fitted amplitude 0\n"
 
     def test_inhibited_vs_passive_shows_pi(self, tmp_path, capsys):
         run_cli("run", "--mode", "passive", "--trials", "4000", "--phi-steps", "13",
@@ -823,7 +855,8 @@ class TestReproducePaper:
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == ""
-        assert captured.err == "error: non-positive fitted amplitude 0\n"
+        # all three fringes fail; the passive one is the first reported
+        assert captured.err == "error: passive fit: non-positive fitted amplitude 0\n"
         for name in ("passive", "inhibited", "active"):
             assert (tmp_path / f"{name}.csv").read_text().startswith(CSV_HEADER + "\n")
 

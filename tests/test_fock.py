@@ -110,6 +110,10 @@ class TestTwoModeUnitary:
         with raises_invariant("not in state"):
             apply_two_mode_unitary(singlet(), M[0], M[5], BS50)
 
+    def test_one_mode_twice_rejected(self):
+        with raises_invariant("distinct modes"):
+            apply_two_mode_unitary(singlet(), M[0], M[0], BS50)
+
     def test_norm_preserved_across_random_sequence(self, rng):
         st = create_photon(make_vacuum(M[:4]), M[0])
         st = create_photon(st, M[2])

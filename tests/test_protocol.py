@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fockbench import elements, noise
+from fockbench import elements, noise, protocol
 from fockbench.bench import Bench, _require_protocol_bench, figure1_text, parse
 from fockbench.elements import phase_shifter
 from fockbench.errors import BadParam, ProtocolError
@@ -35,7 +35,7 @@ from fockbench.protocol import (
 )
 from fockbench.timing import TimingModel
 
-from oracle_util import composed_matrix, oracle_amplitudes, transfer_matrix
+from oracle_util import composed_matrix, fock_coincidences, oracle_amplitudes, transfer_matrix
 
 DATA = Path(__file__).parent / "data"
 
@@ -95,6 +95,34 @@ class TestAnalyticCoincidences:
     def test_bell_efficiency_exactly_half(self, bench):
         for phi in (0.0, 0.7, 2.5):
             assert analytic_coincidences(bench, phi).p_coincidence == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("theta", [None, 0.3])
+    def test_matches_the_fock_projection(self, bench, theta):
+        if theta is not None:
+            bench = bench.with_input_theta(theta)
+        for phi in np.linspace(-7.0, 7.0, 301):
+            ac, ref = analytic_coincidences(bench, phi), fock_coincidences(bench, phi)
+            assert type(ac.p_coincidence) is float
+            assert abs(ac.p_coincidence - ref.p_coincidence) <= 1e-15
+            for pair in PAIR_NAMES:
+                assert type(ac.pairs[pair]) is float
+                assert abs(ac.pairs[pair] - ref.pairs[pair]) <= 1e-15
+
+    def test_a_bench_without_a_pockels_cell_is_rejected(self):
+        no_cell = parse(figure1_text().replace("eop bob\n", ""))
+        with pytest.raises(ProtocolError, match="one Pockels cell"):
+            analytic_coincidences(no_cell, 0.3)
+
+    def test_no_photon_at_bobs_detectors_is_rejected(self):
+        # D1* and D2* watch a path that no element reaches
+        text = (figure1_text().replace("path aux\n", "path aux\npath dark\n")
+                .replace("D1* b1 H", "D1* dark H").replace("D2* b2 V", "D2* dark V"))
+        with pytest.raises(ProtocolError, match="no coincidence amplitude"):
+            analytic_coincidences(parse(text), 0.3)
+
+    def test_the_protocol_does_not_reach_the_fock_engine(self):
+        for name in ("fock", "apply_element", "phase_shifter"):
+            assert not hasattr(protocol, name)
 
 
 class TestRunTrial:
@@ -487,8 +515,8 @@ class TestOutcomeDistribution:
             kept = cells.sum()
             assert kept == pytest.approx(0.5, abs=1e-12)
             pairs = (cells[:, :2] + cells[:, 2:]).ravel() / kept
-            ac = analytic_coincidences(bench, phi)
-            assert pairs == pytest.approx([ac.pairs[p] for p in PAIR_NAMES], abs=1e-12)
+            ref = fock_coincidences(bench, phi)
+            assert pairs == pytest.approx([ref.pairs[p] for p in PAIR_NAMES], abs=1e-12)
 
     @pytest.mark.parametrize("mode", list(RunMode))
     @pytest.mark.parametrize("sigma", [0.3, 0.66])
