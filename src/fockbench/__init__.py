@@ -1,15 +1,15 @@
 """Simulator of an all-optical vacuum/one-photon qubit teleportation bench.
 
-The package models the bench end to end: exact truncated Fock-state
-propagation through the optical elements, exact click-pattern tables with
-detector and dephasing noise that sweeps and single shots sample, the
-classical feed-forward timing race that arms the Pockels-cell correction,
-and the fringe-fit analysis that turns coincidence counts into visibility
-and fidelity figures.
+The package models the bench end to end on one physics path: the optical
+elements carry the two source photons' amplitude rows, whose 2x2 permanents
+give the exact click-pattern tables, with detector and dephasing noise, that
+sweeps and single shots sample and the analytic fringe reads; the classical
+feed-forward timing race arms the Pockels-cell correction; and the
+fringe-fit analysis turns coincidence counts into visibility and fidelity
+figures.
 """
 
-from .fock import ModeId, Polarization, apply_two_mode_unitary, create_photon, make_vacuum
-from .elements import apply_eop
+from .fock import ModeId, Polarization
 from .bench import builtin_figure1
 from .timing import TimingModel, race
 from .protocol import (
@@ -32,10 +32,6 @@ from .analysis import (
 __all__ = [
     "ModeId",
     "Polarization",
-    "make_vacuum",
-    "create_photon",
-    "apply_two_mode_unitary",
-    "apply_eop",
     "builtin_figure1",
     "TimingModel",
     "race",

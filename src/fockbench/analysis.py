@@ -39,8 +39,8 @@ def fit_fringe(phi: np.ndarray, counts: np.ndarray) -> FitResult:
     """Weighted least-squares fit of A (1 + V cos(phi - phi0)) to counts.
 
     Weights are 1/max(count, 1), the binomial/Poisson variance estimate.
-    Needs at least four distinct phase settings, all finite.  This is the
-    one-row case of ``fit_fringes``.
+    Needs at least four phase settings distinct modulo 2 pi, all finite.
+    This is the one-row case of ``fit_fringes``.
     """
     return fit_fringes(phi, [counts])[0]
 
@@ -65,10 +65,11 @@ def fit_fringes(phi: np.ndarray, counts) -> list[FitResult]:
     phis = phi.tolist()
     if not all(map(math.isfinite, phis)):
         raise BadParam("phases must be finite")
-    # phi rounded to 12 decimals, as np.round(phi, 12); phi * 1e12 overflows
-    # past about 1.8e296, so a phase past 1e296 is a setting of its own
-    if len({round(p * 1e12) / 1e12 if abs(p) < 1e296 else p for p in phis}) < 4:
-        raise FitUnderdetermined("fit needs >= 4 distinct phase settings")
+    # the model is 2 pi-periodic: count settings modulo 2 pi, in units of
+    # 1e-12 rad, where a phase that rounds up to 2 pi is 0 again
+    turn = round(math.tau * 1e12)
+    if len({round(p % math.tau * 1e12) % turn for p in phis}) < 4:
+        raise FitUnderdetermined("fit needs >= 4 distinct phase settings modulo 2 pi")
 
     x = np.ones((3, len(phi)))  # the model's terms 1, cos, sin
     np.cos(phi, out=x[1])

@@ -1,9 +1,11 @@
-"""Optical bench components reducible to the state-engine primitives.
+"""Optical bench components reducible to primitive actions.
 
 Every element compiles to a short list of primitive actions: a 2x2 unitary
-on a mode pair, a per-mode phase, or a mode permutation.  The same actions
-feed both the Fock-state propagation and the single-photon amplitude rows
-(``_carry_rows``) behind the protocol's count tables.
+on a mode pair, a per-mode phase, or a mode permutation.  ``_carry_rows``
+carries single-photon amplitude rows through them, touching only the modes
+each action acts on; those rows are the protocol's two photons
+(``Bench.photon_rows``) behind its count tables.  A Pockels cell has no
+actions: whether it fires is decided per trial.
 """
 
 from __future__ import annotations
@@ -15,9 +17,8 @@ from enum import Enum
 
 import numpy as np
 
-from . import fock
 from .errors import BadParam, FockbenchError
-from .fock import FockState, ModeId, Polarization
+from .fock import ModeId, Polarization
 
 H, V = Polarization.H, Polarization.V
 
@@ -129,34 +130,6 @@ def delay_line(path: int, length_m: float) -> Element:
     if length_m <= 0:
         raise BadParam(f"delay length {length_m} m must be positive")
     return Element(ElementKind.DELAY_LINE, (path,), (length_m,))
-
-
-def apply_eop(state: FockState, mode_v: ModeId) -> FockState:
-    """The armed Pockels cell: sigma_z on the vacuum/one-photon qubit of ``mode_v``.
-
-    The pi phase is applied as an exact (-1)**n sign so that arming twice
-    returns the input bit-for-bit; H-polarized amplitudes are untouched.
-    """
-    if mode_v.pol is not V:
-        raise FockbenchError(f"Pockels cell acts on V modes, got {mode_v}")
-    i = state.index_of(mode_v)
-    out = {
-        occ: (-amp if occ[i] % 2 else amp) for occ, amp in state.amplitudes.items()
-    }
-    return state._replace(out)
-
-
-def apply_element(state: FockState, element: Element) -> FockState:
-    """Run one element's actions.  A Pockels cell has none, so it passes the
-    state through disarmed; ``apply_eop`` is the armed cell."""
-    for act in element.actions:
-        if act.kind == "u2":
-            state = fock.apply_two_mode_unitary(state, act.modes[0], act.modes[1], act.matrix)
-        elif act.kind == "phase":
-            state = fock.apply_phase(state, act.modes[0], act.matrix[0])
-        elif act.kind == "perm":
-            state = fock.relabel_modes(state, dict(act.mapping))
-    return state
 
 
 def _carry_rows(rows: list[list[complex]], elements, idx: dict[ModeId, int]) -> None:

@@ -1,9 +1,8 @@
 """Exception types shared across the package.
 
 ``exit_code`` is the command line's exit code for a class: 2 usage, 3 bad
-input, and the base class's 4, an internal invariant violation.  The Fock
-engine and the elements raise ``FockbenchError`` itself on a broken
-invariant.
+input, and the base class's 4, an internal invariant violation.  The
+elements raise ``FockbenchError`` itself on a broken invariant.
 """
 
 

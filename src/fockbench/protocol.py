@@ -88,7 +88,8 @@ FIRING_PATTERN = ALICE_PATTERNS.index(BellOutcome.PSI4)
 
 
 def default_phi_grid(steps: int = 25) -> tuple[float, ...]:
-    """``steps`` evenly spaced phases over [0, 2 pi]; a fringe fit needs >= 4."""
+    """``steps`` (>= 4) evenly spaced phases over [0, 2 pi]; the ends are one
+    setting modulo 2 pi, so a fringe fit needs ``steps`` >= 5."""
     if steps < 4:
         raise BadParam(f"a fringe needs at least 4 phase steps, got {steps}")
     return tuple(np.linspace(0.0, 2.0 * math.pi, steps))
@@ -471,6 +472,7 @@ def analytic_coincidences(bench: Bench, phi: float) -> AnalyticCoincidences:
     Pockels cell disarmed, matching the bench's closed-form description of
     the uncorrected coincidence fringes.
     """
+    _require_finite_phase(phi)
     # a lone D1 or D2 photon is row 1 or 3, a lone D1* or D2* column 1 or 3
     cells = count_tables(bench, (phi,))[0, 0][np.ix_((1, 3), (1, 3))].ravel().tolist()
     total = sum(cells)

@@ -5,29 +5,20 @@ per-element matrices (``transfer_matrix`` of one element each, so the
 association order differs from ``count_tables``' single pass over the
 pipeline, though both read the elements' actions through one row update)
 and derives every multi-photon amplitude from a matrix permanent, never
-touching the Fock-state expansion of ``fock.apply_two_mode_unitary``:
+touching the Fock-state expansion of ``fock_oracle.apply_two_mode_unitary``:
 
     <out| U |in> = perm(B) / sqrt(prod(in!) * prod(out!))
 
 where B has one row per input photon and one column per output photon,
 B[r][c] = M[mode of input photon r][mode of output photon c].
-
-``fock_coincidences`` is a second, independent reference for the
-protocol's noiseless fringe: it pushes the two-photon Fock state through
-the elements (``elements.apply_element``) and projects it onto each
-(Alice, Bob) detector pair, never touching ``protocol.count_tables``.
 """
 
 from itertools import permutations
 
 import numpy as np
 
-from fockbench import fock
-from fockbench.bench import ALICE_DETECTORS, BOB_DETECTORS
-from fockbench.elements import _carry_rows, apply_element, phase_shifter
-from fockbench.errors import ProtocolError
+from fockbench.elements import _carry_rows
 from fockbench.fock import ModeId
-from fockbench.protocol import AnalyticCoincidences
 
 
 def transfer_matrix(elements, modes: tuple[ModeId, ...]) -> np.ndarray:
@@ -101,29 +92,3 @@ def oracle_amplitudes(pipeline, modes, in_occ) -> dict:
             out[out_occ] = amp
     return out
 
-
-def fock_coincidences(bench, phi: float) -> AnalyticCoincidences:
-    """Exact post-selected pair probabilities via Fock projection, no sampling.
-
-    The Pockels cell stays disarmed, matching the bench's closed-form
-    description of the uncorrected coincidence fringes.
-    """
-    st = fock.make_vacuum(bench.modes)
-    for m in bench.sources:
-        st = fock.create_photon(st, m)
-    for e in bench.pipeline:
-        if e.is_knob:
-            e = phase_shifter(e.paths[0], phi, knob=True)
-        st = apply_element(st, e)
-    det = bench.detectors
-    raw: dict[str, float] = {}
-    for ai in ALICE_DETECTORS:
-        for bj in BOB_DETECTORS:
-            pattern = {det[d]: 0 for d in ALICE_DETECTORS + BOB_DETECTORS}
-            pattern[det[ai]] = 1
-            pattern[det[bj]] = 1
-            raw[f"{ai}-{bj}"] = fock.partial_probability(st, pattern)
-    total = sum(raw.values())
-    if total <= 0:
-        raise ProtocolError("no coincidence amplitude at this phase")
-    return AnalyticCoincidences({k: v / total for k, v in raw.items()}, total)

@@ -12,14 +12,7 @@ import pytest
 
 from fockbench.analysis import error_propagation, fidelity_from_visibility, fit_fringes, wrap_phase
 from fockbench.bench import builtin_figure1
-from fockbench.elements import apply_eop
-from fockbench.fock import (
-    ModeId,
-    Polarization,
-    apply_two_mode_unitary,
-    create_photon,
-    make_vacuum,
-)
+from fockbench.fock import ModeId, Polarization
 from fockbench.noise import NoiseModel
 from fockbench.protocol import (
     PAIR_NAMES,
@@ -35,7 +28,15 @@ from fockbench.protocol import (
 from fockbench.timing import TimingModel, race
 
 from conftest import haar_unitary
-from oracle_util import fock_coincidences, oracle_amplitudes
+from fock_oracle import (
+    apply_element,
+    apply_eop,
+    apply_two_mode_unitary,
+    create_photon,
+    fock_coincidences,
+    make_vacuum,
+)
+from oracle_util import oracle_amplitudes
 
 SEED = 42
 V = Polarization.V
@@ -52,10 +53,12 @@ def bench():
 
 
 def test_criterion_1_closed_form_fringes(bench):
+    grid = np.linspace(0.0, 2.0 * math.pi, 100)
     t0 = time.perf_counter()
-    worst = 0.0
-    for phi in np.linspace(0.0, 2.0 * math.pi, 100):
-        ac = analytic_coincidences(bench, phi)
+    fringes = [analytic_coincidences(bench, phi) for phi in grid]
+    elapsed = time.perf_counter() - t0
+    worst = worst_oracle = 0.0
+    for phi, ac in zip(grid, fringes):
         c2 = 0.5 * math.cos(phi / 2.0) ** 2
         s2 = 0.5 * math.sin(phi / 2.0) ** 2
         worst = max(
@@ -65,9 +68,11 @@ def test_criterion_1_closed_form_fringes(bench):
             abs(ac.pairs["D1-D1*"] - s2),
             abs(ac.pairs["D2-D2*"] - s2),
         )
-    elapsed = time.perf_counter() - t0
-    report(1, worst < 1e-12 and elapsed < 1.0,
-           f"100-point fringe grid: max err {worst:.2e} (tol 1e-12), {elapsed:.2f}s (< 1s)")
+        ref = fock_coincidences(bench, phi)
+        worst_oracle = max(worst_oracle, *(abs(ac.pairs[p] - ref.pairs[p]) for p in PAIR_NAMES))
+    report(1, worst < 1e-12 and worst_oracle < 1e-12 and elapsed < 1.0,
+           f"100-point fringe grid: max err {worst:.2e} vs closed form, {worst_oracle:.2e} "
+           f"vs Fock oracle (tol 1e-12), {elapsed:.2f}s (< 1s)")
 
 
 def test_criterion_2_monte_carlo_matches_analytic(bench):
@@ -89,7 +94,7 @@ def test_criterion_2_monte_carlo_matches_analytic(bench):
             else:
                 assert int(data.counts[pair][i]) == 0
     report(2, worst_z <= 3.0 and elapsed < 60.0,
-           f"25x1e5 trials vs Fock projection: worst |z| {worst_z:.2f} (<= 3), {elapsed:.1f}s (< 60s)")
+           f"25x1e5 trials vs Fock oracle: worst |z| {worst_z:.2f} (<= 3), {elapsed:.1f}s (< 60s)")
 
 
 def paper_fits(bench, trials, v_passive, v_active):
@@ -139,9 +144,10 @@ def test_criterion_5_timing_race():
 
 
 def test_criterion_6_bell_efficiency(bench):
-    exact = [analytic_coincidences(bench, phi).p_coincidence
-             for phi in (0.0, 0.9, 2.3, 4.4)]
-    analytic_ok = all(abs(p - 0.5) < 1e-12 for p in exact)
+    phis = (0.0, 0.9, 2.3, 4.4)
+    exact = [analytic_coincidences(bench, phi).p_coincidence for phi in phis]
+    oracle = [fock_coincidences(bench, phi).p_coincidence for phi in phis]
+    analytic_ok = all(abs(p - 0.5) < 1e-12 for p in exact + oracle)
     cfg = RunConfig(mode=RunMode.PASSIVE, trials_per_phi=100_000, phi_grid=(1.3,))
     data = run_sweep(bench, cfg, seed=SEED)
     n = int(data.trials_total[0])
@@ -149,7 +155,7 @@ def test_criterion_6_bell_efficiency(bench):
     sd = math.sqrt(n * 0.25)
     mc_ok = abs(kept - 0.5 * n) <= 3.0 * sd
     report(6, analytic_ok and mc_ok,
-           f"non-idle fraction: analytic 0.5 exact, Monte Carlo {kept / n:.4f} "
+           f"non-idle fraction: analytic and Fock oracle 0.5 exact, Monte Carlo {kept / n:.4f} "
            f"({abs(kept - 0.5 * n) / sd:.2f} sigma)")
 
 
@@ -211,7 +217,6 @@ def test_criterion_7_property_suites(bench):
 
 def test_criterion_8_oracle_equivalence():
     from fockbench import elements as el
-    from fockbench.elements import apply_element
 
     rng = np.random.default_rng(SEED)
     H = Polarization.H

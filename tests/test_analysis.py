@@ -13,6 +13,7 @@ from fockbench.analysis import (
     wrap_phase,
 )
 from fockbench.errors import BadParam, FitUnderdetermined
+from fockbench.protocol import default_phi_grid
 
 PHI = np.linspace(0, 2 * math.pi, 25)
 
@@ -69,6 +70,23 @@ class TestFitFringe:
         with pytest.raises(FitUnderdetermined):
             fit_fringe(phi, np.ones(4))
         assert fit_fringe(phi + [0, 0, 0, 1e-9], np.ones(4)).dof == 1
+
+    def test_settings_are_counted_modulo_two_pi(self):
+        # default_phi_grid's ends 0 and 2 pi are one setting: a 4-step grid
+        # has three, a 5-step grid four
+        four, five = np.array(default_phi_grid(4)), np.array(default_phi_grid(5))
+        with pytest.raises(FitUnderdetermined, match="modulo 2 pi"):
+            fit_fringe(four, model(10.0, 0.5, 0.3, four))
+        fit = fit_fringe(five, model(10.0, 0.5, 0.3, five))
+        assert fit.visibility == pytest.approx(0.5, abs=1e-9)
+        # a repeated setting is still an independent draw: dof counts points
+        assert fit.dof == 2
+
+    @pytest.mark.parametrize("turns", [-3, 1, 2])
+    def test_whole_turns_apart_are_one_setting(self, turns):
+        phi = np.array([0.0, 1.0, 2.0, 2.0 + 2 * math.pi * turns])
+        with pytest.raises(FitUnderdetermined):
+            fit_fringe(phi, np.ones(4))
 
     def test_degenerate_equal_phases(self):
         phi = np.full(10, 0.5)

@@ -6,12 +6,14 @@ from pathlib import Path
 
 import pytest
 
-from fockbench import __version__, cli, elements, fock
+from fockbench import __version__, cli, elements
 from fockbench.bench import BenchError, Diagnostic, figure1_text
 from fockbench.cli import _RUN_FLAGS, _parse_args, build_parser, main, sparkline
 from fockbench.errors import FockbenchError
 from fockbench.fock import ModeId, Polarization
 from fockbench.protocol import CSV_HEADER, PAIR_NAMES, default_phi_grid
+
+from fock_oracle import apply_eop, apply_two_mode_unitary, create_photon, make_vacuum
 
 DATA = Path(__file__).parent / "data"
 
@@ -760,7 +762,8 @@ EXIT_CODES = {
     "GridMismatch": 3,
     "MalformedInput": 3,
     "ProtocolError": 3,
-    # raised itself by the Fock engine and the elements on a broken invariant
+    # raised itself by the elements (and the tests' Fock oracle) on a broken
+    # invariant
     "FockbenchError": 4,
 }
 
@@ -770,20 +773,22 @@ def test_every_error_class_has_its_listed_exit_code():
 
 
 #: each broken invariant of the Fock engine and the elements, under the name
-#: of the exit-4 class it once had: a call that breaks it at its raise site
+#: of the exit-4 class it once had: a call that breaks it at its raise site.
+#: ``BadWiring`` raises from the package's elements, the other seven from the
+#: tests' Fock oracle (``fock_oracle``), as ``FockbenchError`` itself
 _M = [ModeId(i, Polarization.V) for i in range(3)]
 INVARIANT_FAILURES = {
-    "EmptyModes": lambda: fock.make_vacuum([]),
-    "DuplicateMode": lambda: fock.make_vacuum([_M[0], _M[0]]),
-    "UnknownMode": lambda: fock.create_photon(fock.make_vacuum(_M[:2]), _M[2]),
-    "TruncationOverflow": lambda: fock.create_photon(fock.create_photon(
-        fock.create_photon(fock.make_vacuum(_M[:2]), _M[0]), _M[0]), _M[0]),
-    "NonUnitary": lambda: fock.apply_two_mode_unitary(
-        fock.make_vacuum(_M[:2]), _M[0], _M[1], [[1, 0], [0, 2]]),
-    "ImpossibleOutcome": lambda: fock.make_vacuum(_M[:2])._replace({}).renormalized(),
+    "EmptyModes": lambda: make_vacuum([]),
+    "DuplicateMode": lambda: make_vacuum([_M[0], _M[0]]),
+    "UnknownMode": lambda: create_photon(make_vacuum(_M[:2]), _M[2]),
+    "TruncationOverflow": lambda: create_photon(create_photon(
+        create_photon(make_vacuum(_M[:2]), _M[0]), _M[0]), _M[0]),
+    "NonUnitary": lambda: apply_two_mode_unitary(
+        make_vacuum(_M[:2]), _M[0], _M[1], [[1, 0], [0, 2]]),
+    "ImpossibleOutcome": lambda: make_vacuum(_M[:2])._replace({}).renormalized(),
     "BadWiring": lambda: elements.beam_splitter(0, 0, 0.5),
-    "PolarizationMismatch": lambda: elements.apply_eop(
-        fock.make_vacuum(_M[:1]), ModeId(0, Polarization.H)),
+    "PolarizationMismatch": lambda: apply_eop(
+        make_vacuum(_M[:1]), ModeId(0, Polarization.H)),
 }
 
 

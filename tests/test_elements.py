@@ -5,8 +5,6 @@ import pytest
 
 from fockbench import elements as el
 from fockbench.elements import (
-    apply_element,
-    apply_eop,
     beam_splitter,
     delay_line,
     pockels_cell,
@@ -14,15 +12,10 @@ from fockbench.elements import (
     quarter_wave_plate,
 )
 from fockbench.errors import BadParam
-from fockbench.fock import (
-    ModeId,
-    Polarization,
-    create_photon,
-    make_vacuum,
-    partial_probability,
-)
+from fockbench.fock import ModeId, Polarization
 
 from conftest import haar_unitary, raises_invariant
+from fock_oracle import apply_element, apply_eop, create_photon, make_vacuum, partial_probability
 from oracle_util import transfer_matrix
 
 H, V = Polarization.H, Polarization.V

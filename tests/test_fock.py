@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from fockbench.fock import (
+from fockbench.fock import ModeId, Polarization
+
+from conftest import haar_unitary, raises_invariant
+from fock_oracle import (
     FockState,
-    ModeId,
-    Polarization,
     apply_phase,
     apply_two_mode_unitary,
     create_photon,
@@ -15,8 +16,6 @@ from fockbench.fock import (
     partial_probability,
     relabel_modes,
 )
-
-from conftest import haar_unitary, raises_invariant
 
 V = Polarization.V
 M = [ModeId(i, V) for i in range(6)]

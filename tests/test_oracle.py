@@ -1,4 +1,5 @@
-"""Engine amplitudes against the permanent-based brute-force oracle."""
+"""The Fock-state oracle's amplitudes against the permanent-based brute-force
+oracle."""
 
 import math
 
@@ -6,15 +7,10 @@ import numpy as np
 import pytest
 
 from fockbench import elements as el
-from fockbench.fock import (
-    ModeId,
-    Polarization,
-    apply_two_mode_unitary,
-    create_photon,
-    make_vacuum,
-)
+from fockbench.fock import ModeId, Polarization
 
 from conftest import haar_unitary
+from fock_oracle import apply_element, apply_two_mode_unitary, create_photon, make_vacuum
 from oracle_util import composed_matrix, oracle_amplitudes, permanent
 
 H, V = Polarization.H, Polarization.V
@@ -35,7 +31,7 @@ def _engine_amplitudes(pipeline, modes, in_occ):
         for _ in range(n):
             st = create_photon(st, modes[i])
     for e in pipeline:
-        st = el.apply_element(st, e)
+        st = apply_element(st, e)
     return st.amplitudes
 
 

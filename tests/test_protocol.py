@@ -35,7 +35,8 @@ from fockbench.protocol import (
 )
 from fockbench.timing import TimingModel
 
-from oracle_util import composed_matrix, fock_coincidences, oracle_amplitudes, transfer_matrix
+from fock_oracle import bench_output, fock_coincidences
+from oracle_util import composed_matrix, oracle_amplitudes, transfer_matrix
 
 DATA = Path(__file__).parent / "data"
 
@@ -107,6 +108,16 @@ class TestAnalyticCoincidences:
             for pair in PAIR_NAMES:
                 assert type(ac.pairs[pair]) is float
                 assert abs(ac.pairs[pair] - ref.pairs[pair]) <= 1e-15
+
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phase_is_rejected(self, bench, phi):
+        with pytest.raises(BadParam, match="not finite"):
+            analytic_coincidences(bench, phi)
+
+    def test_a_huge_finite_phase_is_taken(self, bench):
+        ac = analytic_coincidences(bench, 1e300)
+        assert sum(ac.pairs.values()) == pytest.approx(1.0, abs=1e-12)
+        assert ac.p_coincidence == pytest.approx(0.5, abs=1e-12)
 
     def test_a_bench_without_a_pockels_cell_is_rejected(self):
         no_cell = parse(figure1_text().replace("eop bob\n", ""))
@@ -450,21 +461,9 @@ def protocol_bench(which, builtin):
 def fock_click_table(bench, phi, armed):
     """Independent derivation: propagate the Fock state through the whole
     pipeline, the cell disarmed or armed, and read off the ideal click table."""
-    from fockbench.elements import ElementKind, apply_element, apply_eop
-    from fockbench.fock import create_photon, make_vacuum
-
     det = [bench.modes.index(bench.detectors[d]) for d in ("D1", "D2", "D1*", "D2*")]
-    st = make_vacuum(bench.modes)
-    for m in bench.sources:
-        st = create_photon(st, m)
-    for e in bench.pipeline:
-        if e.is_knob:
-            e = phase_shifter(e.paths[0], phi, knob=True)
-        st = apply_element(st, e)
-        if armed and e.kind is ElementKind.POCKELS_CELL:
-            st = apply_eop(st, ModeId(e.paths[0], Polarization.V))
     out = np.zeros((4, 4))
-    for occ, amp in st.amplitudes.items():
+    for occ, amp in bench_output(bench, phi, armed).amplitudes.items():
         hit = [occ[i] > 0 for i in det]
         out[hit[0] + 2 * hit[1], hit[2] + 2 * hit[3]] += abs(amp) ** 2
     return out

@@ -6,7 +6,9 @@ added to the lists below on purpose.
 """
 
 import argparse
+import importlib
 import inspect
+import pkgutil
 import re
 from pathlib import Path
 
@@ -50,6 +52,17 @@ def test_no_export_takes_a_private_type():
             if annotation is not param.empty and re.search(r"\b_\w", str(annotation)):
                 private.append(f"{name}({param.name}: {annotation})")
     assert private == []
+
+
+def test_the_fock_engine_is_test_code():
+    """The package's one physics engine is the count tables; the Fock-state
+    engine is the tests' oracle (``fock_oracle``) and no package module
+    defines or imports it."""
+    engine = {"FockState", "make_vacuum", "create_photon", "apply_two_mode_unitary",
+              "apply_phase", "relabel_modes", "partial_probability", "apply_element",
+              "apply_eop"}
+    for info in pkgutil.iter_modules(fockbench.__path__, "fockbench."):
+        assert engine.isdisjoint(vars(importlib.import_module(info.name))), info.name
 
 
 @pytest.mark.parametrize("command", OPTIONS)
