@@ -1,18 +1,21 @@
-"""Optical bench components reducible to primitive actions.
+"""Optical bench components compiled to one primitive action.
 
-Every element compiles to a short list of primitive actions: a 2x2 unitary
-on a mode pair, a per-mode phase, or a mode permutation.  ``_carry_rows``
-carries single-photon amplitude rows through them, touching only the modes
-each action acts on; those rows are the protocol's two photons
-(``Bench.photon_rows``) behind its count tables.  A Pockels cell has no
-actions: whether it fires is decided per trial.
+Every lossless linear-optics element is a product of 2x2 unitaries on mode
+pairs (Reck, Zeilinger, Bernstein & Bertani, PRL 73, 58 (1994)), so each
+element here compiles to a short list of them: a splitter's rotation, a
+path phase as diag(e^{i phi}, e^{i phi}) on the path's (H, V) pair, a
+polarizing splitter's four mode swaps, a wave plate's Jones matrix.
+``_carry_rows`` carries single-photon amplitude rows through them, touching
+only the two modes of each action; those rows are the protocol's two
+photons (``Bench.photon_rows``) behind its count tables.  A Pockels cell
+has no actions: whether it fires is decided per trial.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -34,12 +37,12 @@ class ElementKind(Enum):
 
 @dataclass(frozen=True)
 class Action:
-    """One primitive: kind is 'u2', 'phase' or 'perm'."""
+    """The one primitive: the 2x2 unitary ``matrix`` (row-major, complex) on
+    the distinct mode pair ``modes``; it sends a photon in ``modes[k]`` to
+    ``matrix[k][0]`` of ``modes[0]`` plus ``matrix[k][1]`` of ``modes[1]``."""
 
-    kind: str
-    modes: tuple[ModeId, ...]
-    matrix: tuple = ()  # row-major 2x2 for 'u2', (phi,) for 'phase'
-    mapping: tuple = ()  # ((src, dst), ...) for 'perm'
+    modes: tuple[ModeId, ModeId]
+    matrix: tuple[tuple[complex, complex], tuple[complex, complex]]
 
 
 @dataclass(frozen=True)
@@ -48,12 +51,16 @@ class Element:
     paths: tuple[int, ...]
     params: tuple = ()
     is_knob: bool = False
-    actions: tuple[Action, ...] = field(default=(), compare=True)
+    actions: tuple[Action, ...] = ()
 
 
 def _u2(m1: ModeId, m2: ModeId, u: np.ndarray) -> Action:
-    rows = tuple(tuple(complex(x) for x in row) for row in u)
-    return Action("u2", (m1, m2), matrix=rows)
+    return Action((m1, m2), tuple(tuple(complex(x) for x in row) for row in u))
+
+
+def _rot(x: float) -> np.ndarray:
+    c, s = math.cos(x), math.sin(x)
+    return np.array([[c, -s], [s, c]], dtype=complex)
 
 
 def beam_splitter(path_a: int, path_b: int, theta: float) -> Element:
@@ -66,22 +73,16 @@ def beam_splitter(path_a: int, path_b: int, theta: float) -> Element:
         raise BadParam(f"beam splitter theta {theta} outside [0, pi/2]")
     if path_a == path_b:
         raise FockbenchError("beam splitter needs two distinct paths")
-    c, s = math.cos(theta), math.sin(theta)
-    u = np.array([[c, -s], [s, c]], dtype=complex)
-    acts = (
-        _u2(ModeId(path_a, H), ModeId(path_b, H), u),
-        _u2(ModeId(path_a, V), ModeId(path_b, V), u),
-    )
+    u = _rot(theta)
+    acts = tuple(_u2(ModeId(path_a, pol), ModeId(path_b, pol), u) for pol in (H, V))
     return Element(ElementKind.BEAM_SPLITTER, (path_a, path_b), (theta,), actions=acts)
 
 
 def phase_shifter(path: int, phi: float = 0.0, knob: bool = False) -> Element:
     """Path-length phase: both polarizations of the path get exp(i phi n)."""
-    acts = (
-        Action("phase", (ModeId(path, H),), matrix=(phi,)),
-        Action("phase", (ModeId(path, V),), matrix=(phi,)),
-    )
-    return Element(ElementKind.PHASE_SHIFTER, (path,), (phi,), knob, acts)
+    z = cmath.exp(1j * phi)
+    act = Action((ModeId(path, H), ModeId(path, V)), ((z, 0j), (0j, z)))
+    return Element(ElementKind.PHASE_SHIFTER, (path,), (phi,), knob, (act,))
 
 
 def polarizing_bs(path_in_1: int, path_in_2: int, path_out_1: int, path_out_2: int) -> Element:
@@ -89,23 +90,11 @@ def polarizing_bs(path_in_1: int, path_in_2: int, path_out_1: int, path_out_2: i
     paths = (path_in_1, path_in_2, path_out_1, path_out_2)
     if len(set(paths)) != 4:
         raise FockbenchError(f"polarizing splitter paths collide: {paths}")
-    mapping = (
-        (ModeId(path_in_1, H), ModeId(path_out_1, H)),
-        (ModeId(path_out_1, H), ModeId(path_in_1, H)),
-        (ModeId(path_in_2, H), ModeId(path_out_2, H)),
-        (ModeId(path_out_2, H), ModeId(path_in_2, H)),
-        (ModeId(path_in_1, V), ModeId(path_out_2, V)),
-        (ModeId(path_out_2, V), ModeId(path_in_1, V)),
-        (ModeId(path_in_2, V), ModeId(path_out_1, V)),
-        (ModeId(path_out_1, V), ModeId(path_in_2, V)),
-    )
-    act = Action("perm", tuple(m for m, _ in mapping), mapping=mapping)
-    return Element(ElementKind.POLARIZING_BS, paths, actions=(act,))
-
-
-def _rot(x: float) -> np.ndarray:
-    c, s = math.cos(x), math.sin(x)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+    swap = ((0j, 1 + 0j), (1 + 0j, 0j))
+    pairs = ((path_in_1, path_out_1, H), (path_in_2, path_out_2, H),
+             (path_in_1, path_out_2, V), (path_in_2, path_out_1, V))
+    acts = tuple(Action((ModeId(a, pol), ModeId(b, pol)), swap) for a, b, pol in pairs)
+    return Element(ElementKind.POLARIZING_BS, paths, actions=acts)
 
 
 def quarter_wave_plate(path: int, angle: float) -> Element:
@@ -136,25 +125,14 @@ def _carry_rows(rows: list[list[complex]], elements, idx: dict[ModeId, int]) -> 
     """Carry single-photon amplitude rows through a run of elements, in place.
 
     Each row holds one photon's amplitude in every mode (``idx`` maps a mode
-    to its position), and each action updates only the entries of the modes
-    it touches.  A Pockels cell has no actions, so it leaves the rows
-    unchanged: its sigma_z is decided per trial.
+    to its position), and each action updates only the entries of its two
+    modes.  A Pockels cell has no actions, so it leaves the rows unchanged:
+    its sigma_z is decided per trial.
     """
     for e in elements:
         for act in e.actions:
-            if act.kind == "u2":
-                i1, i2 = idx[act.modes[0]], idx[act.modes[1]]
-                (a, b), (c, d) = act.matrix
-                for r in rows:
-                    x1, x2 = r[i1], r[i2]
-                    r[i1], r[i2] = a * x1 + c * x2, b * x1 + d * x2
-            elif act.kind == "phase":
-                i, z = idx[act.modes[0]], cmath.exp(1j * act.matrix[0])
-                for r in rows:
-                    r[i] *= z
-            elif act.kind == "perm":
-                src = [idx[m] for m, _ in act.mapping]
-                dst = [idx[m] for _, m in act.mapping]
-                for r in rows:
-                    for j, x in zip(dst, [r[i] for i in src]):
-                        r[j] = x
+            i1, i2 = idx[act.modes[0]], idx[act.modes[1]]
+            (a, b), (c, d) = act.matrix
+            for r in rows:
+                x1, x2 = r[i1], r[i2]
+                r[i1], r[i2] = a * x1 + c * x2, b * x1 + d * x2

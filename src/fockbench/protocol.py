@@ -308,7 +308,7 @@ def count_tables(bench: Bench, phis, sigma: float = 0.0, theta: float = 0.0) -> 
     ``phis``; the rounding-level negatives this leaves are clipped to 0.
     """
     photons = bench.photon_rows
-    w, n = photons.rows, len(bench.modes)
+    w, n = photons.rows, photons.rows.shape[1]
     c = photons.at_channel * cmath.exp(1j * theta)
     # (5, 4, n): (p1, p2, q1, q2) at each node
     p = w[:2] + _NODES[:, None, None] * w[2:4]
@@ -450,8 +450,11 @@ def paper_runs(bench: Bench, trials: int, phi_steps: int, seed: int,
     The passive run's dephasing takes a perfect fringe to ``v_passive``; the
     others add in quadrature the delay line's, which takes ``v_passive`` to
     ``v_active``.  Returns (sigma_passive, sigma_added, sigma_total) and a
-    (name, fitted pair, ``FringeData``) per run.
+    (name, fitted pair, ``FringeData``) per run.  Every run's fringe is fitted,
+    so fewer than 5 phase steps raise ``BadParam`` before any sweep.
     """
+    if phi_steps < 5:
+        raise BadParam(f"the paper's fringe fits need at least 5 phase steps, got {phi_steps}")
     sigma_passive = calibrate_sigma(1.0, v_passive)
     sigma_added = calibrate_sigma(v_passive, v_active)
     sigma_total = math.hypot(sigma_passive, sigma_added)

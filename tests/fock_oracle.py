@@ -18,14 +18,15 @@ Two-mode unitaries act on creation operators row-wise,
     a2+ -> u[1,0] a1+ + u[1,1] a2+
 
 so a single photon entering port 1 of ``u = [[c, -s], [s, c]]`` leaves as
-``c |1,0> - s |0,1>``; at 45 degrees that is the minus-sign singlet.  With a
-phase shifter ``u = [[exp(i phi)]]`` every basis entry picks up
-``exp(i phi n)``.  A broken invariant raises ``FockbenchError`` itself.
+``c |1,0> - s |0,1>``; at 45 degrees that is the minus-sign singlet.  Every
+element's actions are such unitaries, so a phase shifter's
+``diag(exp(i phi), exp(i phi))`` gives each basis entry ``exp(i phi n)`` and
+a polarizing splitter's swaps move occupation between modes.  A broken
+invariant raises ``FockbenchError`` itself.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from typing import Iterable, Mapping
 
@@ -123,7 +124,7 @@ def create_photon(state: FockState, mode: ModeId) -> FockState:
 
 
 def _check_unitary(u) -> None:
-    # u is a 2x2 (or 1x1) nested sequence of complex numbers
+    # u is a 2x2 nested sequence of complex numbers
     rows = [list(map(complex, row)) for row in u]
     n = len(rows)
     for i in range(n):
@@ -183,39 +184,6 @@ def _with_pair(occ: Occupation, i1: int, i2: int, n1: int, n2: int) -> Occupatio
     return tuple(lst)
 
 
-def apply_phase(state: FockState, mode: ModeId, phi: float) -> FockState:
-    """Multiply each basis entry by ``exp(i phi n)`` for its occupation n."""
-    i = state.index_of(mode)
-    # exp(i*phi)**n keeps phi=pi exactly sign-flipping up to one ulp per power
-    base = cmath.exp(1j * phi)
-    out = {}
-    for occ, amp in state.amplitudes.items():
-        n = occ[i]
-        out[occ] = amp * base**n if n else amp
-    return state._replace(out)
-
-
-def relabel_modes(state: FockState, mapping: Mapping[ModeId, ModeId]) -> FockState:
-    """Permute occupation between modes (e.g. a polarizing splitter).
-
-    ``mapping`` sends source modes to destination modes and must be a
-    bijection on the modes it mentions; unmentioned modes stay put.
-    """
-    for m in list(mapping) + list(mapping.values()):
-        state.index_of(m)
-    srcs, dsts = set(mapping), set(mapping.values())
-    if len(dsts) != len(mapping) or srcs != dsts:
-        raise FockbenchError(f"mode relabeling is not a permutation: {mapping}")
-    perm = list(range(len(state.modes)))
-    for src, dst in mapping.items():
-        perm[state.index_of(dst)] = state.index_of(src)
-    out = {}
-    for occ, amp in state.amplitudes.items():
-        new = tuple(occ[perm[i]] for i in range(len(occ)))
-        out[new] = amp
-    return state._replace(out)
-
-
 def partial_probability(state: FockState, pattern: Mapping[ModeId, int]) -> float:
     """Probability that the constrained modes carry exactly ``pattern``."""
     constraints = [(state.index_of(m), n) for m, n in pattern.items()]
@@ -245,15 +213,10 @@ def apply_eop(state: FockState, mode_v: ModeId) -> FockState:
 
 
 def apply_element(state: FockState, element: Element) -> FockState:
-    """Run one element's actions.  A Pockels cell has none, so it passes the
-    state through disarmed; ``apply_eop`` is the armed cell."""
+    """Run one element's two-mode unitaries.  A Pockels cell has none, so
+    it passes the state through disarmed; ``apply_eop`` is the armed cell."""
     for act in element.actions:
-        if act.kind == "u2":
-            state = apply_two_mode_unitary(state, act.modes[0], act.modes[1], act.matrix)
-        elif act.kind == "phase":
-            state = apply_phase(state, act.modes[0], act.matrix[0])
-        elif act.kind == "perm":
-            state = relabel_modes(state, dict(act.mapping))
+        state = apply_two_mode_unitary(state, *act.modes, act.matrix)
     return state
 
 

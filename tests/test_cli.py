@@ -866,12 +866,16 @@ class TestReproducePaper:
             assert (tmp_path / f"{name}.csv").read_text().startswith(CSV_HEADER + "\n")
 
     # the active visibility cannot exceed the passive 0.906
-    @pytest.mark.parametrize("flags", [("--active-visibility", "0.95"), ("--seed", "-1")])
-    def test_out_of_range_parameter_exits_2(self, capsys, flags):
-        code = run_cli("reproduce-paper", "--trials", "100", "--phi-steps", "5", *flags)
+    # a 4-step grid passes the sweep's own check, but its fits are underdetermined
+    @pytest.mark.parametrize("flags", [("--active-visibility", "0.95"), ("--seed", "-1"),
+                                       ("--phi-steps", "4")])
+    def test_out_of_range_parameter_exits_2(self, capsys, tmp_path, flags):
+        code = run_cli("reproduce-paper", "--trials", "100", "--phi-steps", "5", *flags,
+                       "--out", str(tmp_path / "out"))
         assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.out == "" and not (tmp_path / "out").exists()
 
 
 class TestSparkline:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from fockbench import elements as el
 from fockbench.elements import (
     beam_splitter,
     delay_line,
+    phase_shifter,
     pockels_cell,
     polarizing_bs,
     quarter_wave_plate,
@@ -235,3 +237,30 @@ class TestElementUnitarity:
         for e in bench.pipeline:
             mat = transfer_matrix((e,), bench.modes)
             assert np.max(np.abs(mat.conj().T @ mat - eye)) < 1e-10
+
+
+class TestOnePrimitive:
+    """Every element compiles to 2x2 unitaries on mode pairs of its own paths."""
+
+    def test_an_action_is_a_mode_pair_and_a_matrix(self):
+        assert [f.name for f in dataclasses.fields(el.Action)] == ["modes", "matrix"]
+
+    def test_every_action_is_a_two_mode_unitary_on_the_elements_paths(self, rng):
+        for _ in range(50):
+            a, b, c, d = (int(p) for p in rng.permutation(6)[:4])
+            for e in (beam_splitter(a, b, float(rng.uniform(0, math.pi / 2))),
+                      phase_shifter(a, float(rng.uniform(-10, 10))),
+                      phase_shifter(a, float(rng.uniform(-10, 10)), knob=True),
+                      polarizing_bs(a, b, c, d),
+                      quarter_wave_plate(a, float(rng.uniform(-10, 10)))):
+                assert e.actions
+                for act in e.actions:
+                    m1, m2 = act.modes
+                    assert m1 != m2 and {m1.path, m2.path} <= set(e.paths)
+                    u = np.array(act.matrix)
+                    assert u.shape == (2, 2) and u.dtype == complex
+                    assert np.max(np.abs(u @ u.conj().T - np.eye(2))) <= 1e-15
+
+    def test_the_cell_and_the_delay_line_have_no_actions(self):
+        assert pockels_cell(0).actions == ()
+        assert delay_line(0, 8.0).actions == ()

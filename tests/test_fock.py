@@ -9,12 +9,10 @@ from fockbench.fock import ModeId, Polarization
 from conftest import haar_unitary, raises_invariant
 from fock_oracle import (
     FockState,
-    apply_phase,
     apply_two_mode_unitary,
     create_photon,
     make_vacuum,
     partial_probability,
-    relabel_modes,
 )
 
 V = Polarization.V
@@ -136,28 +134,6 @@ class TestTwoModeUnitary:
                 assert abs(back.amplitude(occ) - st.amplitude(occ)) < 1e-10
 
 
-class TestApplyPhase:
-    def test_zero_is_identity(self):
-        st = singlet()
-        assert apply_phase(st, M[0], 0.0).amplitudes == st.amplitudes
-
-    def test_pi_flips_one_photon_component(self):
-        st = singlet()
-        out = apply_phase(st, M[1], math.pi)
-        assert out.amplitude((1, 0)) == pytest.approx(st.amplitude((1, 0)), abs=1e-12)
-        assert out.amplitude((0, 1)) == pytest.approx(-st.amplitude((0, 1)), abs=1e-12)
-
-    def test_two_pi_is_identity(self):
-        st = singlet()
-        out = apply_phase(st, M[0], 2 * math.pi)
-        for occ in st.amplitudes:
-            assert abs(out.amplitude(occ) - st.amplitude(occ)) < 1e-12
-
-    def test_unknown_mode(self):
-        with raises_invariant("not in state"):
-            apply_phase(singlet(), M[5], 1.0)
-
-
 class TestPartialProbability:
     def test_empty_pattern_is_one(self):
         assert partial_probability(singlet(), {}) == pytest.approx(1.0, abs=1e-12)
@@ -192,18 +168,6 @@ class TestRenormalized:
     def test_zero_state_is_impossible(self):
         with raises_invariant("cannot normalize a zero state"):
             make_vacuum(M[:2])._replace({}).renormalized()
-
-
-class TestRelabel:
-    def test_swap_moves_occupation(self):
-        st = create_photon(make_vacuum(M[:2]), M[0])
-        out = relabel_modes(st, {M[0]: M[1], M[1]: M[0]})
-        assert out.amplitudes == {(0, 1): 1.0 + 0j}
-
-    def test_non_permutation_rejected(self):
-        st = make_vacuum(M[:2])
-        with raises_invariant("not a permutation"):
-            relabel_modes(st, {M[0]: M[1]})
 
 
 class TestPruning:

@@ -471,8 +471,8 @@ def fock_click_table(bench, phi, armed):
 
 def oracle_count_tables(bench, phi):
     """(2, 9, 9) joint photon counts from the permanent oracle, the knob at
-    phi and the cell disarmed ([0]) and fired ([1]: a pi phase on its V mode),
-    indexed as ``count_tables``."""
+    phi and the cell disarmed ([0]) and fired ([1]: diag(1, -1) on its
+    (H, V) pair, a pi phase on its V mode), indexed as ``count_tables``."""
     from fockbench.elements import Action, Element, ElementKind
 
     det = [bench.modes.index(bench.detectors[d]) for d in ("D1", "D2", "D1*", "D2*")]
@@ -484,7 +484,8 @@ def oracle_count_tables(bench, phi):
             if e.is_knob:
                 e = phase_shifter(e.paths[0], phi, knob=True)
             elif fired and e.kind is ElementKind.POCKELS_CELL:
-                flip = Action("phase", (ModeId(e.paths[0], Polarization.V),), matrix=(math.pi,))
+                pair = (ModeId(e.paths[0], Polarization.H), ModeId(e.paths[0], Polarization.V))
+                flip = Action(pair, ((1 + 0j, 0j), (0j, -1 + 0j)))
                 e = Element(ElementKind.PHASE_SHIFTER, e.paths, actions=(flip,))
             pipeline.append(e)
         for occ, amp in oracle_amplitudes(pipeline, bench.modes, in_occ).items():
