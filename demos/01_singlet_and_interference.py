@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from fockbench.bench import parse
-from fockbench.protocol import count_tables
+from fockbench.tables import count_tables
 
 PI_4 = math.pi / 4
 PATHS = "path a\npath b\npath c\npath d\n"

@@ -117,7 +117,7 @@ class Bench:
         """The one pass of the protocol's two photons through the optics.
 
         It depends on nothing but the bench, so each bench runs it once, on
-        first use, and every ``protocol.count_tables`` call reads it; a bench
+        first use, and every ``tables.count_tables`` call reads it; a bench
         from ``with_delay_m`` reads, and on first use runs, the pass of the
         bench it was derived from.  A bench the protocol cannot run raises
         ``ProtocolError`` on every use.

@@ -29,13 +29,7 @@ from .analysis import (
     fit_fringes,
     wrap_phase,
 )
-from .bench import (
-    Bench,
-    BenchError,
-    load,
-    parse_with_diagnostics,
-    read_input,
-)
+from .bench import Bench, BenchError, load, parse_with_diagnostics, read_input
 from .errors import BadParam, FitUnderdetermined, FockbenchError, GridMismatch, MalformedInput
 from .noise import NoiseModel
 from .protocol import (
@@ -121,16 +115,18 @@ def _manifest_text(args: argparse.Namespace) -> str:
 def _load_manifest(path: str, args: argparse.Namespace) -> None:
     """Set the run flags a manifest records; other keys are skipped.
 
-    An empty value stands for None, so only a flag that defaults to None
-    may have one.  A manifest from another fockbench version is run with a
-    warning.
+    Every non-blank line must be ``key=value``.  An empty value stands for
+    None, so only a flag that defaults to None may have one.  A manifest
+    from another fockbench version is run with a warning.
     """
-    for line in read_input(path).splitlines():
+    for n, line in enumerate(read_input(path).splitlines(), start=1):
         key, sep, val = line.partition("=")
-        if sep and key == "fockbench_version" and val != __version__:
+        if not sep and line.strip():
+            raise MalformedInput(f"manifest {path} line {n}: want key=value, got {line!r}")
+        if key == "fockbench_version" and val != __version__:
             print(f"warning: manifest {path} was written by fockbench {val}, "
                   f"this is {__version__}", file=sys.stderr)
-        if not sep or key not in _RUN_FLAGS:
+        if key not in _RUN_FLAGS:
             continue
         kind, default, _ = _RUN_FLAGS[key]
         if val == "":

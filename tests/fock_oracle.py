@@ -2,7 +2,7 @@
 tests' independent oracle for the package's count tables.
 
 The package computes every fringe, sweep and shot from 2x2 permanents of
-the two source photons' amplitude rows (``protocol.count_tables``).  This
+the two source photons' amplitude rows (``tables.count_tables``).  This
 module derives the same physics a second way, by expanding each photon-number
 basis state under every element, so the tests can check one derivation
 against the other.
@@ -245,7 +245,7 @@ def fock_coincidences(bench, phi: float) -> AnalyticCoincidences:
     The Pockels cell stays disarmed, matching the bench's closed-form
     description of the uncorrected coincidence fringes.  This is the
     reference for ``protocol.analytic_coincidences``, derived without
-    ``protocol.count_tables``.
+    ``tables.count_tables``.
     """
     st = bench_output(bench, phi)
     det = bench.detectors

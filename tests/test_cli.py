@@ -159,6 +159,18 @@ class TestRun:
         assert run_cli("run", "--manifest", str(manifest), "--out", str(b)) == 0
         assert (a / "fringe.csv").read_bytes() == (b / "fringe.csv").read_bytes()
 
+    def test_manifest_line_without_equals_exits_3(self, tmp_path, capsys):
+        # a fringe CSV given as the manifest must not run the defaults
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run_cli("run", "--trials", "50", "--phi-steps", "5", "--out", str(a)) == 0
+        capsys.readouterr()
+        fringe = a / "fringe.csv"
+        assert run_cli("run", "--manifest", str(fringe), "--out", str(b)) == 3
+        err = capsys.readouterr().err
+        assert err == (f"error: manifest {fringe} line 1: want key=value, "
+                       f"got {CSV_HEADER!r}\n")
+        assert not b.exists()
+
     def test_missing_bench_exits_3(self, tmp_path):
         code = run_cli("run", "--bench", str(tmp_path / "missing.bench"),
                        "--out", str(tmp_path))

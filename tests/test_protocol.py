@@ -23,8 +23,6 @@ from fockbench.protocol import (
     RunConfig,
     RunMode,
     analytic_coincidences,
-    click_tables,
-    count_tables,
     default_phi_grid,
     outcome_distribution,
     paper_runs,
@@ -33,6 +31,7 @@ from fockbench.protocol import (
     run_sweep,
     run_trial,
 )
+from fockbench.tables import click_tables, count_tables
 from fockbench.timing import TimingModel
 
 from fock_oracle import bench_output, fock_coincidences

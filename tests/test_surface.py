@@ -6,6 +6,7 @@ added to the lists below on purpose.
 """
 
 import argparse
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import fockbench
+from fockbench import tables
 from fockbench.cli import build_parser
 
 ROOT = Path(__file__).parent.parent
@@ -63,6 +65,34 @@ def test_the_fock_engine_is_test_code():
               "apply_eop"}
     for info in pkgutil.iter_modules(fockbench.__path__, "fockbench."):
         assert engine.isdisjoint(vars(importlib.import_module(info.name))), info.name
+
+
+TABLE_FUNCTIONS = ("count_tables", "click_tables")
+
+
+def test_tables_sit_below_the_run_policy():
+    """``tables`` imports no package module but ``bench`` and ``noise``, its
+    functions live there, and no demo or test reaches them through
+    ``protocol``."""
+    modules = []
+    for node in ast.walk(ast.parse(Path(tables.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules.append(f"fockbench.{node.module or ''}" if node.level else node.module)
+    package = {m.removeprefix("fockbench.") for m in modules if m.startswith("fockbench")}
+    assert package <= {"bench", "noise"}
+    assert {getattr(tables, name).__module__ for name in TABLE_FUNCTIONS} == {"fockbench.tables"}
+    via_protocol = []
+    for path in sorted([*(ROOT / "demos").glob("*.py"), *(ROOT / "tests").glob("*.py")]):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "fockbench.protocol":
+                via_protocol += [f"{path.name}: {a.name}" for a in node.names
+                                 if a.name in TABLE_FUNCTIONS]
+            elif (isinstance(node, ast.Attribute) and node.attr in TABLE_FUNCTIONS
+                  and isinstance(node.value, ast.Name) and node.value.id == "protocol"):
+                via_protocol.append(f"{path.name}: protocol.{node.attr}")
+    assert via_protocol == []
 
 
 @pytest.mark.parametrize("command", OPTIONS)
