@@ -1,9 +1,10 @@
 """Bench-description parser, validator and the built-in apparatus.
 
-A compiled ``Bench`` also checks what the teleportation protocol needs of
-it and carries the protocol's two photons through its optics, once per
-bench (``Bench.photon_rows``); a bench retuned by ``Bench.with_delay_m``
-shares that pass with the bench it came from.
+``validate`` checks a bench against the format and against what the
+teleportation protocol needs, so a bench that parses is one the protocol
+can run.  A ``Bench`` carries the protocol's two photons through its optics
+once (``Bench.photon_rows``), and one from ``Bench.with_delay_m`` shares
+that pass with the bench it came from.
 
 The format is line oriented, one statement per line, ``#`` starts a comment:
 
@@ -35,7 +36,7 @@ import numpy as np
 
 from . import elements as el
 from .elements import Element, ElementKind
-from .errors import BadParam, FockbenchError, MalformedInput, ProtocolError
+from .errors import BadParam, FockbenchError, MalformedInput
 from .fock import ModeId, Polarization
 
 H, V = Polarization.H, Polarization.V
@@ -119,14 +120,18 @@ class Bench:
         It depends on nothing but the bench, so each bench runs it once, on
         first use, and every ``tables.count_tables`` call reads it; a bench
         from ``with_delay_m`` reads, and on first use runs, the pass of the
-        bench it was derived from.  A bench the protocol cannot run raises
-        ``ProtocolError`` on every use.
+        bench it was derived from.  The pass first runs ``validate``: a bench
+        built without the parser that fails it raises ``BenchError`` with
+        its errors on every use.
         """
         owner = vars(self).get("_pass_owner")
         if owner is not None:
             return owner.photon_rows
-        cell = _require_protocol_bench(self)
+        errors = [d for d in validate(self) if d.severity == "error"]
+        if errors:
+            raise BenchError(errors)
         knob, modes, pipeline = self.knob_index, self.modes, self.pipeline
+        cell = next(i for i, e in enumerate(pipeline) if e.kind is ElementKind.POCKELS_CELL)
         idx = {m: i for i, m in enumerate(modes)}
         n = len(modes)
         rows = [[complex(m == source) for m in modes] for source in self.sources]
@@ -216,33 +221,6 @@ class Bench:
         return "\n".join(out) + "\n"
 
 
-def _require_protocol_bench(bench: Bench) -> int:
-    """The Pockels cell's pipeline index, once the bench is checked to have
-    what the protocol needs; ``ProtocolError`` otherwise."""
-    names = set(bench.detectors)
-    missing = [d for d in ALICE_DETECTORS + BOB_DETECTORS if d not in names]
-    if missing:
-        raise ProtocolError(f"protocol needs detectors D1, D2, D1*, D2*; missing {missing}")
-    if len({bench.detectors[d] for d in ALICE_DETECTORS + BOB_DETECTORS}) != 4:
-        raise ProtocolError("protocol needs detectors D1, D2, D1*, D2* on four distinct modes")
-    if len(bench.sources) != 2 or bench.sources[0] == bench.sources[1]:
-        raise ProtocolError("protocol needs two photon sources on distinct modes")
-    eop = [i for i, e in enumerate(bench.pipeline) if e.kind is ElementKind.POCKELS_CELL]
-    if len(eop) != 1:
-        raise ProtocolError(f"protocol needs exactly one Pockels cell, got {len(eop)}")
-    cell = eop[0]
-    if not 0 <= bench.knob_index < cell:
-        raise ProtocolError("protocol needs exactly one phase knob, before the Pockels cell")
-    alice_modes = {bench.detectors[d] for d in ALICE_DETECTORS}
-    for e in bench.pipeline[cell + 1 :]:
-        for act in e.actions:
-            if alice_modes & set(act.modes):
-                raise ProtocolError(
-                    "an element after the Pockels cell touches Alice's detectors"
-                )
-    return cell
-
-
 # element statement: number of paths, its key=<number> arguments, constructor
 _STATEMENTS = {
     ElementKind.BEAM_SPLITTER: (2, ("theta",), el.beam_splitter),
@@ -283,9 +261,8 @@ def _pol(token: str, line: int, col: int, diags: list[Diagnostic]) -> Polarizati
 def parse(source: str) -> Bench:
     """Compile bench text; raises BenchError carrying all diagnostics."""
     bench, diags = parse_with_diagnostics(source)
-    errors = [d for d in diags if d.severity == "error"]
-    if errors or bench is None:
-        raise BenchError(errors or diags)
+    if bench is None:
+        raise BenchError([d for d in diags if d.severity == "error"])
     return bench
 
 
@@ -381,38 +358,58 @@ def parse_with_diagnostics(source: str) -> tuple[Bench | None, list[Diagnostic]]
     bench = Bench(tuple(path_names), tuple(sources), tuple(pipeline), detectors,
                   source_lines)
     diags.extend(validate(bench))
-    errors = [d for d in diags if d.severity == "error"]
-    return (None if errors else bench), diags
+    return (None if any(d.severity == "error" for d in diags) else bench), diags
 
 
 def validate(bench: Bench) -> list[Diagnostic]:
-    """Invariant checks; empty list iff the bench is sound (warnings aside)."""
+    """Every check of a compiled bench; no errors iff the protocol can run it.
+
+    The protocol needs detectors D1, D2, D1* and D2* on four distinct modes,
+    two photon sources on distinct modes, exactly one Pockels cell, exactly
+    one phase knob before it, and no element after the cell that touches
+    Alice's modes.  Each fault is one diagnostic; the fault of an element
+    carries that element's line.  Warnings flag what the protocol ignores.
+    """
     diags: list[Diagnostic] = []
+    pipeline, protocol = bench.pipeline, ALICE_DETECTORS + BOB_DETECTORS
 
-    def line_of(i: int) -> int:
-        return bench.source_lines.get(i, 0)
+    def error(code: str, message: str, i: int | None = None) -> None:
+        diags.append(Diagnostic(code, message, bench.source_lines.get(i, 0)))
 
-    knobs = [i for i, e in enumerate(bench.pipeline) if e.is_knob]
-    if not knobs:
-        diags.append(Diagnostic("no-phase-knob", "bench needs exactly one phase knob"))
-    elif len(knobs) > 1:
-        diags.append(Diagnostic("multiple-phase-knobs",
-                                f"{len(knobs)} phase knobs declared",
-                                line_of(knobs[1])))
-    if not bench.detectors:
-        diags.append(Diagnostic("no-detectors", "bench declares no detector"))
-    if not bench.sources:
-        diags.append(Diagnostic("missing-source", "bench declares no photon source"))
+    knobs = [i for i, e in enumerate(pipeline) if e.is_knob]
+    cells = [i for i, e in enumerate(pipeline) if e.kind is ElementKind.POCKELS_CELL]
+    for found, what, code in ((knobs, "phase knob", "phase-knob"),
+                              (cells, "Pockels cell", "pockels-cell")):
+        if len(found) != 1:
+            error(f"multiple-{code}s" if found else f"no-{code}",
+                  f"bench needs exactly one {what}, got {len(found)}", found[1] if found else None)
+    if len(knobs) == len(cells) == 1 and knobs[0] > cells[0]:
+        error("knob-after-cell", "the phase knob must come before the Pockels cell", knobs[0])
+    if len(bench.sources) != 2:
+        error("missing-source" if len(bench.sources) < 2 else "extra-source",
+              f"bench needs two photon sources, got {len(bench.sources)}")
+    elif bench.sources[0] == bench.sources[1]:
+        error("shared-source-mode",
+              f"both photon sources are on {bench.mode_name(bench.sources[0])}")
+    missing = [d for d in protocol if d not in bench.detectors]
+    if missing:
+        error("missing-detector", f"bench needs D1, D2, D1*, D2*; missing {', '.join(missing)}")
+    alice = {bench.detectors[d] for d in ALICE_DETECTORS if d in bench.detectors}
+    for i in range(cells[0] + 1, len(pipeline)) if len(cells) == 1 else ():
+        if any(alice & set(act.modes) for act in pipeline[i].actions):
+            error("touches-alice", "an element after the Pockels cell touches Alice's "
+                  "detectors", i)
 
     touched: set[ModeId] = set(bench.sources)
     used_paths: set[int] = {m.path for m in bench.sources}
-    for e in bench.pipeline:
+    for e in pipeline:
         used_paths.update(e.paths)
-        if e.kind is ElementKind.POCKELS_CELL:
+        touched.update(m for act in e.actions for m in act.modes)
+        if e.kind is ElementKind.POCKELS_CELL:  # no actions: it flips its V mode
             touched.add(ModeId(e.paths[0], V))
-            continue
-        for act in e.actions:
-            touched.update(act.modes)
+    # two of the protocol's detectors on one mode are an error, any other pair a
+    # warning; a mode is held by the first of the protocol's detectors on it
+    seen: dict[ModeId, str] = {}
     for name, mode in bench.detectors.items():
         used_paths.add(mode.path)
         if mode not in touched:
@@ -420,14 +417,15 @@ def validate(bench: Bench) -> list[Diagnostic]:
                                     f"detector {name!r} watches {bench.mode_name(mode)} "
                                     "which no source or element feeds",
                                     severity="warning"))
-    seen_modes: dict[ModeId, str] = {}
-    for name, mode in bench.detectors.items():
-        if mode in seen_modes:
-            diags.append(Diagnostic("detector-mode-collision",
-                                    f"detectors {seen_modes[mode]!r} and {name!r} share "
+        other = seen.get(mode)
+        if other is not None:
+            ours = name in protocol and other in protocol
+            diags.append(Diagnostic("shared-detector-mode" if ours else "detector-mode-collision",
+                                    f"detectors {other!r} and {name!r} share "
                                     f"{bench.mode_name(mode)}",
-                                    severity="warning"))
-        seen_modes[mode] = name
+                                    severity="error" if ours else "warning"))
+        if other is None or (name in protocol and other not in protocol):
+            seen[mode] = name
     for p, name in enumerate(bench.path_names):
         if p not in used_paths:
             diags.append(Diagnostic("unreferenced-path",

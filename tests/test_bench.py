@@ -22,14 +22,28 @@ from fockbench.fock import ModeId, Polarization
 
 H, V = Polarization.H, Polarization.V
 
+#: the smallest bench the protocol can run: two sources on distinct modes,
+#: the knob before the one Pockels cell, and Alice's D1, D2 and Bob's D1*,
+#: D2* on four distinct modes
 MINIMAL = """\
 path a
 path b
 source photon a V
+source photon b V
 bs a b theta=0.7853981633974483
 phase a knob
-detector D a V
+eop b
+detector D1 a V
+detector D2 a H
+detector D1* b V
+detector D2* b H
 """
+
+
+def on_line_7(statement):
+    """MINIMAL with paths c and d declared and ``statement`` on line 7."""
+    return (MINIMAL.replace("path b\n", "path b\npath c\npath d\n", 1)
+            .replace("bs a b", f"{statement}\nbs a b", 1))
 
 
 def codes(diags):
@@ -76,17 +90,17 @@ class TestParseErrors:
     def test_unknown_statement(self):
         with pytest.raises(BenchError) as err:
             parse(MINIMAL + "wedge a b\n")
-        assert "unknown-element" in codes(err.value.diagnostics)
+        assert codes(err.value.diagnostics) == ["unknown-element"]
 
     def test_duplicate_path(self):
         with pytest.raises(BenchError) as err:
             parse("path a\npath a\n" + MINIMAL.split("\n", 1)[1])
-        assert "duplicate-path" in codes(err.value.diagnostics)
+        assert codes(err.value.diagnostics) == ["duplicate-path"]
 
     def test_duplicate_detector(self):
         with pytest.raises(BenchError) as err:
-            parse(MINIMAL + "detector D b V\n")
-        assert "duplicate-detector" in codes(err.value.diagnostics)
+            parse(MINIMAL + "detector D1 b V\n")
+        assert codes(err.value.diagnostics) == ["duplicate-detector"]
 
     def test_bad_number(self):
         with pytest.raises(BenchError) as err:
@@ -108,8 +122,7 @@ class TestParseErrors:
         ("bs a b 0.5", "syntax", 8),
     ])
     def test_element_statement_errors_pin_code_line_col(self, statement, code, col):
-        base = "path a\npath b\npath c\npath d\nsource photon a V\nphase a knob\n"
-        bench, diags = parse_with_diagnostics(base + statement + "\ndetector D a V\n")
+        bench, diags = parse_with_diagnostics(on_line_7(statement))
         assert bench is None
         errors = [d for d in diags if d.severity == "error"]
         assert [(d.code, d.line, d.col) for d in errors] == [(code, 7, col)]
@@ -123,8 +136,7 @@ class TestParseErrors:
         ("path a b", 1),
     ])
     def test_other_statement_errors_pin_line_col(self, statement, col):
-        base = "path a\npath b\npath c\npath d\nsource photon a V\nphase a knob\n"
-        bench, diags = parse_with_diagnostics(base + statement + "\ndetector D a V\n")
+        bench, diags = parse_with_diagnostics(on_line_7(statement))
         assert bench is None
         errors = [d for d in diags if d.severity == "error"]
         assert [(d.code, d.line, d.col) for d in errors] == [("syntax", 7, col)]
@@ -137,17 +149,70 @@ class TestParseErrors:
     def test_no_knob(self):
         with pytest.raises(BenchError) as err:
             parse(MINIMAL.replace("phase a knob\n", ""))
-        assert "no-phase-knob" in codes(err.value.diagnostics)
+        assert codes(err.value.diagnostics) == ["no-phase-knob"]
 
     def test_multiple_knobs(self):
         with pytest.raises(BenchError) as err:
             parse(MINIMAL + "phase b knob\n")
-        assert "multiple-phase-knobs" in codes(err.value.diagnostics)
+        assert codes(err.value.diagnostics) == ["multiple-phase-knobs"]
 
     def test_wrong_arity(self):
         with pytest.raises(BenchError) as err:
             parse(MINIMAL + "eop\n")
         assert "syntax" in codes(err.value.diagnostics)
+
+
+class TestProtocolRequirements:
+    def test_minimal_bench_is_clean(self):
+        assert validate(parse(MINIMAL)) == []
+
+    @pytest.mark.parametrize("old, new, code, line", [
+        ("eop b\n", "", "no-pockels-cell", 0),
+        ("eop b\n", "eop b\neop a\n", "multiple-pockels-cells", 8),
+        # a knob on a, Alice's path, would also touch her detectors past the cell
+        ("phase a knob\neop b\n", "eop b\nphase b knob\n", "knob-after-cell", 7),
+        ("source photon b V\n", "", "missing-source", 0),
+        ("source photon b V\n", "source photon b V\nsource photon b H\n", "extra-source", 0),
+        ("source photon b V", "source photon a V", "shared-source-mode", 0),
+        ("detector D2* b H\n", "", "missing-detector", 0),
+        ("detector D2* b H", "detector D2* b V", "shared-detector-mode", 0),
+        ("eop b\n", "eop b\nphase a value=0.1\n", "touches-alice", 8),
+        ("eop b\n", "eop b\nbs b a theta=0.3\n", "touches-alice", 8),
+    ], ids=["no-cell", "two-cells", "late-knob", "one-source", "three-sources",
+            "shared-source", "no-D2*", "shared-D1*", "phase-on-D1", "bs-on-D1"])
+    def test_each_fault_is_one_error_with_its_line(self, old, new, code, line):
+        assert old in MINIMAL
+        bench, diags = parse_with_diagnostics(MINIMAL.replace(old, new, 1))
+        assert bench is None
+        errors = [d for d in diags if d.severity == "error"]
+        assert [(d.code, d.line) for d in errors] == [(code, line)]
+
+    def test_every_fault_is_reported(self):
+        with pytest.raises(BenchError) as err:
+            parse("path a\n")
+        assert codes(err.value.diagnostics) == [
+            "no-phase-knob", "no-pockels-cell", "missing-source", "missing-detector"]
+        assert str(err.value.diagnostics[-1]) == \
+            "0:1: error: missing-detector: bench needs D1, D2, D1*, D2*; missing D1, D2, D1*, D2*"
+
+    @pytest.mark.parametrize("order", [("X", "D1", "D2"), ("D1", "X", "D2")])
+    def test_two_protocol_detectors_on_one_mode_are_an_error(self, order):
+        # X is no detector of the protocol: its collision with D1 is a warning
+        dets = "".join(f"detector {name} a V\n" for name in order)
+        bench, diags = parse_with_diagnostics(
+            MINIMAL.replace("detector D1 a V\ndetector D2 a H\n", dets))
+        assert bench is None
+        shared = [(d.code, d.severity, d.message) for d in diags if "share" in d.message]
+        assert shared == [
+            ("detector-mode-collision", "warning",
+             f"detectors {order[0]!r} and {order[1]!r} share a.V"),
+            ("shared-detector-mode", "error", "detectors 'D1' and 'D2' share a.V"),
+        ]
+
+    def test_a_detector_beside_the_protocols_is_a_warning(self):
+        bench, diags = parse_with_diagnostics(MINIMAL + "detector X a V\n")
+        assert bench is not None
+        assert [(d.code, d.severity) for d in diags] == [("detector-mode-collision", "warning")]
 
 
 class TestValidate:

@@ -68,6 +68,12 @@ UNFIT_EDITS = [
 ]
 
 
+def unfit(old, new, *diagnostics):
+    """The builtin bench with ``old`` replaced by ``new``, and the error
+    lines that bench gives, as a case with the id ``old-new``."""
+    return pytest.param(old, new, list(diagnostics), id=f"{old}-{new}")
+
+
 #: every float run flag; huge int flags are left out, as --phi-steps sizes
 #: the tables (several KiB per phase point)
 FLOAT_RUN_FLAGS = [key for key, (kind, _, _) in _RUN_FLAGS.items() if kind is float]
@@ -259,25 +265,35 @@ class TestRun:
                        "--out", str(tmp_path / "out")) == 3
         assert "syntax: bad number" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("old, new", [
-        ("eop bob\n", ""),
-        ("source photon ks V", "source photon ka V"),
-        ("eop bob\n", "eop bob\neop bob\n"),
-        ("detector D2* b2 V", "detector D2* b1 H"),
+    @pytest.mark.parametrize("old, new, diagnostics", [
+        unfit("eop bob\n", "",
+              "0:1: error: no-pockels-cell: bench needs exactly one Pockels cell, got 0"),
+        unfit("source photon ks V", "source photon ka V",
+              "0:1: error: shared-source-mode: both photon sources are on ka.V"),
+        unfit("eop bob\n", "eop bob\neop bob\n",
+              "32:1: error: multiple-pockels-cells: bench needs exactly one Pockels cell, got 2"),
+        unfit("detector D2* b2 V", "detector D2* b1 H",
+              "0:1: error: shared-detector-mode: detectors 'D1*' and 'D2*' share b1.H"),
         pytest.param(None, "path a\npath b\nsource photon a V\nbs a b theta=0.5\n"
-                     "phase a knob\ndetector D1 a V\n", id="two-paths-one-detector"),
+                     "phase a knob\ndetector D1 a V\n",
+                     ["0:1: error: no-pockels-cell: bench needs exactly one Pockels cell, got 0",
+                      "0:1: error: missing-source: bench needs two photon sources, got 1",
+                      "0:1: error: missing-detector: bench needs D1, D2, D1*, D2*; "
+                      "missing D2, D1*, D2*"],
+                     id="two-paths-one-detector"),
     ])
-    def test_bench_unfit_for_the_protocol_exits_3(self, tmp_path, capsys, old, new):
-        # each of these benches is well formed, but the protocol cannot run it
+    def test_bench_unfit_for_the_protocol_exits_3(self, tmp_path, capsys, old, new,
+                                                  diagnostics):
+        # the protocol cannot run any of these benches, so none of them parses
         bad = tmp_path / "bad.bench"
         bad.write_text(new if old is None else figure1_text().replace(old, new, 1))
-        for argv in (("validate-bench", str(bad)),
-                     ("run", "--mode", "active", "--bench", str(bad), "--trials", "10",
-                      "--phi-steps", "4", "--out", str(tmp_path / "out"))):
-            capsys.readouterr()
-            assert run_cli(*argv) == 3
-            err = capsys.readouterr().err
-            assert err.startswith("error: protocol needs") and err.count("\n") == 1
+        want = "".join(line + "\n" for line in diagnostics)
+        assert run_cli("validate-bench", str(bad)) == 3
+        assert capsys.readouterr() == (want, "")
+        assert run_cli("run", "--mode", "active", "--bench", str(bad), "--trials", "10",
+                       "--phi-steps", "4", "--out", str(tmp_path / "out")) == 3
+        assert capsys.readouterr() == ("", want)
+        assert not (tmp_path / "out" / "fringe.csv").exists()
 
     @pytest.mark.parametrize("element", ["phase ka value=0.1", "bs ks aux theta=0.3"],
                              ids=["on-D1", "on-D2"])
@@ -286,14 +302,24 @@ class TestRun:
         # Alice's clicks are read before the cell fires, so nothing past it may reach them
         bad = tmp_path / "bad.bench"
         bad.write_text(figure1_text().replace("eop bob\n", f"eop bob\n{element}\n", 1))
-        for argv in (("validate-bench", str(bad)),
-                     ("run", "--bench", str(bad), "--trials", "10", "--phi-steps", "4",
-                      "--out", str(tmp_path / "out"))):
-            capsys.readouterr()
-            assert run_cli(*argv) == 3
-            assert capsys.readouterr().err == \
-                "error: an element after the Pockels cell touches Alice's detectors\n"
+        want = ("32:1: error: touches-alice: an element after the Pockels cell touches "
+                "Alice's detectors\n")
+        assert run_cli("validate-bench", str(bad)) == 3
+        assert capsys.readouterr() == (want, "")
+        assert run_cli("run", "--bench", str(bad), "--trials", "10", "--phi-steps", "4",
+                       "--out", str(tmp_path / "out")) == 3
+        assert capsys.readouterr() == ("", want)
         assert not (tmp_path / "out" / "fringe.csv").exists()
+
+    def test_every_protocol_fault_is_listed_in_one_call(self, tmp_path, capsys):
+        # sources on one mode, and a phase on D1's path past the cell (line 32)
+        bad = tmp_path / "bad.bench"
+        bad.write_text(figure1_text().replace("source photon ks V", "source photon ka V", 1)
+                       .replace("eop bob\n", "eop bob\nphase ka value=0.1\n", 1))
+        assert run_cli("validate-bench", str(bad)) == 3
+        out = capsys.readouterr().out.splitlines()
+        assert [line.split(": ")[:3] for line in out] == [
+            ["0:1", "error", "shared-source-mode"], ["32:1", "error", "touches-alice"]]
 
     # with two lines the race would run on twice the --delay-m length, and
     # without a splitter feeding the knob there is no qubit to retune
@@ -328,6 +354,21 @@ class TestRun:
                        f"this is {__version__}\n")
         assert (tmp_path / "a" / "fringe.csv").read_bytes() == \
             (tmp_path / "b" / "fringe.csv").read_bytes()
+
+    def test_unknown_manifest_key_warns(self, tmp_path, capsys):
+        manifest = tmp_path / "typo.txt"
+        manifest.write_text("seeed=5\ntrials=100\nphi_steps=5\n")
+        assert run_cli("run", "--manifest", str(manifest), "--out", str(tmp_path / "b")) == 0
+        assert capsys.readouterr().err == \
+            f"warning: manifest {manifest} line 1: unknown key 'seeed' skipped\n"
+        assert "\nseed=0\n" in (tmp_path / "b" / "manifest.txt").read_text()
+
+    def test_version_and_retired_workers_keys_are_silent(self, tmp_path, capsys):
+        manifest = tmp_path / "old.txt"
+        manifest.write_text(f"fockbench_version={__version__}\nworkers=2\n\n"
+                            "trials=100\nphi_steps=5\n")
+        assert run_cli("run", "--manifest", str(manifest), "--out", str(tmp_path / "b")) == 0
+        assert capsys.readouterr().err == ""
 
     def test_bogus_mode_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as err:

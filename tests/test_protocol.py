@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from fockbench import elements, noise, protocol
-from fockbench.bench import Bench, _require_protocol_bench, figure1_text, parse
-from fockbench.elements import phase_shifter
+from fockbench.bench import Bench, BenchError, figure1_text, parse
+from fockbench.elements import ElementKind, phase_shifter
 from fockbench.errors import BadParam, ProtocolError
 from fockbench.fock import ModeId, Polarization
 from fockbench.noise import NoiseModel
@@ -38,6 +38,13 @@ from fock_oracle import bench_output, fock_coincidences
 from oracle_util import composed_matrix, oracle_amplitudes, transfer_matrix
 
 DATA = Path(__file__).parent / "data"
+
+
+def without_the_cell(bench):
+    """``bench`` with its Pockels cell removed, built without the parser."""
+    return dataclasses.replace(bench, pipeline=tuple(
+        e for e in bench.pipeline if e.kind is not ElementKind.POCKELS_CELL))
+
 
 # every noise source on: 45% detectors, dark counts, dephasing and a jittered
 # race whose 23.5 ns risetime arms the cell with probability
@@ -118,10 +125,11 @@ class TestAnalyticCoincidences:
         assert sum(ac.pairs.values()) == pytest.approx(1.0, abs=1e-12)
         assert ac.p_coincidence == pytest.approx(0.5, abs=1e-12)
 
-    def test_a_bench_without_a_pockels_cell_is_rejected(self):
-        no_cell = parse(figure1_text().replace("eop bob\n", ""))
-        with pytest.raises(ProtocolError, match="one Pockels cell"):
+    def test_a_bench_without_a_pockels_cell_is_rejected(self, bench):
+        no_cell = without_the_cell(bench)
+        with pytest.raises(BenchError) as err:
             analytic_coincidences(no_cell, 0.3)
+        assert [d.code for d in err.value.diagnostics] == ["no-pockels-cell"]
 
     def test_no_photon_at_bobs_detectors_is_rejected(self):
         # D1* and D2* watch a path that no element reaches
@@ -228,7 +236,7 @@ class TestCorrectionClosure:
         # amplitude of one photon at an Alice detector and one in mode k,
         # just before the cell: a 2x2 permanent of the source rows of the
         # transfer matrix of the pipeline up to the cell, the knob set to phi
-        cell = _require_protocol_bench(bench)
+        cell = [e.kind for e in bench.pipeline].index(ElementKind.POCKELS_CELL)
         upstream = [phase_shifter(e.paths[0], phi, knob=True) if e.is_knob else e
                     for e in bench.pipeline[:cell]]
         idx = {m: i for i, m in enumerate(bench.modes)}
@@ -761,24 +769,21 @@ class TestPhotonRows:
                 a[0] = 0
 
     def test_a_failed_pass_is_not_cached(self, bench):
-        no_eop = Bench(bench.path_names, bench.sources,
-                       tuple(e for e in bench.pipeline if e.kind.value != "eop"),
-                       dict(bench.detectors))
+        no_eop = without_the_cell(bench)
         messages = []
         for _ in range(2):
-            with pytest.raises(ProtocolError) as err:
+            with pytest.raises(BenchError) as err:
                 count_tables(no_eop, (0.0,))
             messages.append(str(err.value))
-        assert messages == ["protocol needs exactly one Pockels cell, got 0"] * 2
+        assert messages == [
+            "0:1: error: no-pockels-cell: bench needs exactly one Pockels cell, got 0"] * 2
         assert "photon_rows" not in vars(no_eop)
 
     def test_a_delay_edit_of_an_unrunnable_bench_raises_on_first_use(self, bench):
-        no_eop = Bench(bench.path_names, bench.sources,
-                       tuple(e for e in bench.pipeline if e.kind.value != "eop"),
-                       dict(bench.detectors))
+        no_eop = without_the_cell(bench)
         derived = no_eop.with_delay_m(7.0)  # the edit itself does not run the pass
         assert derived.delay_m == 7.0
-        with pytest.raises(ProtocolError, match="exactly one Pockels cell, got 0"):
+        with pytest.raises(BenchError, match="no-pockels-cell: .* got 0$"):
             count_tables(derived, (0.0,))
         assert "photon_rows" not in vars(derived)
         assert "photon_rows" not in vars(no_eop)
@@ -837,47 +842,39 @@ class TestConfig:
             RunMode.parse("bogus")
 
     def test_protocol_needs_eop(self, bench):
-        from fockbench.bench import Bench
-
-        no_eop = Bench(
-            bench.path_names, bench.sources,
-            tuple(e for e in bench.pipeline if e.kind.value != "eop"),
-            dict(bench.detectors),
-        )
-        with pytest.raises(ProtocolError):
-            run_sweep(no_eop, RunConfig(trials_per_phi=1, phi_grid=(0.0,)), seed=0)
+        with pytest.raises(BenchError) as err:
+            run_sweep(without_the_cell(bench), RunConfig(trials_per_phi=1, phi_grid=(0.0,)),
+                      seed=0)
+        assert [d.code for d in err.value.diagnostics] == ["no-pockels-cell"]
 
 
-    @pytest.mark.parametrize("sources", ["one", "same-mode"])
-    def test_protocol_needs_two_sources_on_distinct_modes(self, bench, sources):
-        from fockbench.bench import Bench
-
+    @pytest.mark.parametrize("sources, code", [
+        pytest.param("one", "missing-source", id="one"),
+        pytest.param("same-mode", "shared-source-mode", id="same-mode"),
+    ])
+    def test_protocol_needs_two_sources_on_distinct_modes(self, bench, sources, code):
         src = bench.sources[:1] if sources == "one" else bench.sources[:1] * 2
         odd = Bench(bench.path_names, src, bench.pipeline, dict(bench.detectors))
-        with pytest.raises(ProtocolError):
+        with pytest.raises(BenchError) as err:
             run_sweep(odd, RunConfig(trials_per_phi=1, phi_grid=(0.0,)), seed=0)
+        assert [d.code for d in err.value.diagnostics] == [code]
 
     def test_protocol_needs_the_knob_before_the_cell(self, bench):
-        from fockbench.bench import Bench
-        from fockbench.elements import phase_shifter
-
         # the knob moved onto Bob's output path, past the cell
         knob = bench.knob_index
         moved = (bench.pipeline[:knob] + bench.pipeline[knob + 1:]
                  + (phase_shifter(bench.path_names.index("b2"), knob=True),))
         late = Bench(bench.path_names, bench.sources, moved, dict(bench.detectors))
-        with pytest.raises(ProtocolError):
+        with pytest.raises(BenchError) as err:
             run_sweep(late, RunConfig(trials_per_phi=1, phi_grid=(0.0,)), seed=0)
+        assert [d.code for d in err.value.diagnostics] == ["knob-after-cell"]
 
     def test_protocol_keeps_alices_modes_clear_of_the_cell(self, bench):
-        from fockbench.bench import Bench
-        from fockbench.elements import phase_shifter
-
         # a fixed phase on D1's path, past the cell
         ka = bench.path_names.index("ka")
         late = Bench(bench.path_names, bench.sources,
                      bench.pipeline + (phase_shifter(ka, 0.1),), dict(bench.detectors))
-        with pytest.raises(ProtocolError, match="after the Pockels cell"):
+        with pytest.raises(BenchError, match="touches-alice: an element after the Pockels cell"):
             run_sweep(late, RunConfig(trials_per_phi=1, phi_grid=(0.0,)), seed=0)
 
     @pytest.mark.parametrize("steps", [0, 2, 3])
