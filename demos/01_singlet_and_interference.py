@@ -12,8 +12,10 @@ count tables (``count_tables``) that every sweep and shot samples: entry
 (a = n(D1) + 3 n(D2)) and b at Bob's (b = n(D1*) + 3 n(D2*)), with the
 Pockels cell disarmed (cell 0) or fired (cell 1).  Each is a protocol bench:
 detectors D1, D2, D1* and D2*, two photon sources and one phase knob before
-one Pockels cell; a bench that needs no knob or cell puts them where they
-change nothing.
+one Pockels cell, and each detector on a mode that a source or element
+feeds.  A bench that needs no knob or cell puts them where they change
+nothing, and a detector it does not read sits behind a splitter that sends
+it no photon.
 """
 
 import math
@@ -56,6 +58,7 @@ source photon b V
 phase a knob
 bs a b theta={PI_4!r}
 eop c
+bs c d theta={PI_4!r}
 detector D1 a V
 detector D2 b V
 detector D1* c V
@@ -75,6 +78,7 @@ print("  -> the |1,1> amplitude cancels; only |2,0> and |0,2> survive\n")
 cell = parse(PATHS + f"""
 source photon a V
 source photon c V
+bs c d theta=0.0
 bs a b theta={PI_4!r}
 phase a knob
 eop a

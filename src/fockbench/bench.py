@@ -95,13 +95,20 @@ class Bench:
     per instance, so a derived bench computes its own, except that a bench
     from ``with_delay_m`` shares its parent's ``photon_rows``: a delay line
     has no actions, so its length cannot change the photons' pass.
+
+    ``source_lines`` maps each parsed statement to its (line, column) in the
+    bench text, keyed ("path", index), ("source", index), ("element",
+    pipeline index) or ("detector", name), so that ``validate`` can place
+    every fault; a bench built in code has none, and its faults are placed
+    at line 0.
     """
 
     path_names: tuple[str, ...]
     sources: tuple[ModeId, ...]
     pipeline: tuple[Element, ...]
     detectors: Mapping[str, ModeId]
-    source_lines: Mapping[int, int] = field(default_factory=dict, compare=False)
+    source_lines: Mapping[tuple[str, int | str], tuple[int, int]] = field(
+        default_factory=dict, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "detectors", MappingProxyType(dict(self.detectors)))
@@ -272,7 +279,7 @@ def parse_with_diagnostics(source: str) -> tuple[Bench | None, list[Diagnostic]]
     sources: list[ModeId] = []
     pipeline: list[Element] = []
     detectors: dict[str, ModeId] = {}
-    source_lines: dict[int, int] = {}
+    source_lines: dict[tuple[str, int | str], tuple[int, int]] = {}
 
     def path_of(tok: str, line: int, col: int) -> int | None:
         if tok in path_names:
@@ -310,6 +317,7 @@ def parse_with_diagnostics(source: str) -> tuple[Bench | None, list[Diagnostic]]
                     diags.append(Diagnostic("duplicate-path", f"path {toks[1]!r} already declared",
                                             lineno, cols[1]))
                     continue
+                source_lines["path", len(path_names)] = lineno, cols[0]
                 path_names.append(toks[1])
             elif head == "source":
                 if not want(4):
@@ -321,6 +329,7 @@ def parse_with_diagnostics(source: str) -> tuple[Bench | None, list[Diagnostic]]
                 p = path_of(toks[2], lineno, cols[2])
                 pol = _pol(toks[3], lineno, cols[3], diags)
                 if p is not None and pol is not None:
+                    source_lines["source", len(sources)] = lineno, cols[0]
                     sources.append(ModeId(p, pol))
             elif head in _HEADS:
                 kind = _HEADS[head]
@@ -335,7 +344,7 @@ def parse_with_diagnostics(source: str) -> tuple[Bench | None, list[Diagnostic]]
                 if None in args:
                     continue
                 pipeline.append(el.phase_shifter(args[0], knob=True) if knob else make(*args))
-                source_lines[len(pipeline) - 1] = lineno
+                source_lines["element", len(pipeline) - 1] = lineno, cols[0]
             elif head == "detector":
                 if not want(4):
                     continue
@@ -347,6 +356,7 @@ def parse_with_diagnostics(source: str) -> tuple[Bench | None, list[Diagnostic]]
                 p = path_of(toks[2], lineno, cols[2])
                 pol = _pol(toks[3], lineno, cols[3], diags)
                 if p is not None and pol is not None:
+                    source_lines["detector", toks[1]] = lineno, cols[0]
                     detectors[toks[1]] = ModeId(p, pol)
             else:
                 diags.append(Diagnostic("unknown-element", f"unknown statement {head!r}",
@@ -364,17 +374,24 @@ def parse_with_diagnostics(source: str) -> tuple[Bench | None, list[Diagnostic]]
 def validate(bench: Bench) -> list[Diagnostic]:
     """Every check of a compiled bench; no errors iff the protocol can run it.
 
-    The protocol needs detectors D1, D2, D1* and D2* on four distinct modes,
-    two photon sources on distinct modes, exactly one Pockels cell, exactly
-    one phase knob before it, and no element after the cell that touches
-    Alice's modes.  Each fault is one diagnostic; the fault of an element
-    carries that element's line.  Warnings flag what the protocol ignores.
+    The protocol needs detectors D1, D2, D1* and D2* on four distinct modes
+    that a source or element feeds, two photon sources on distinct modes,
+    exactly one Pockels cell, exactly one phase knob before it, and no
+    element after the cell that touches Alice's modes.  Each fault is one
+    diagnostic, placed at the line and column of the statement at fault
+    (``Bench.source_lines``), or at line 0 when no one statement is.
+    Warnings flag what the protocol ignores.
     """
     diags: list[Diagnostic] = []
     pipeline, protocol = bench.pipeline, ALICE_DETECTORS + BOB_DETECTORS
 
+    def report(code: str, message: str, at: tuple | None = None,
+               severity: str = "error") -> None:
+        line, col = bench.source_lines.get(at, (0, 1))
+        diags.append(Diagnostic(code, message, line, col, severity))
+
     def error(code: str, message: str, i: int | None = None) -> None:
-        diags.append(Diagnostic(code, message, bench.source_lines.get(i, 0)))
+        report(code, message, None if i is None else ("element", i))
 
     knobs = [i for i, e in enumerate(pipeline) if e.is_knob]
     cells = [i for i, e in enumerate(pipeline) if e.kind is ElementKind.POCKELS_CELL]
@@ -386,11 +403,12 @@ def validate(bench: Bench) -> list[Diagnostic]:
     if len(knobs) == len(cells) == 1 and knobs[0] > cells[0]:
         error("knob-after-cell", "the phase knob must come before the Pockels cell", knobs[0])
     if len(bench.sources) != 2:
-        error("missing-source" if len(bench.sources) < 2 else "extra-source",
-              f"bench needs two photon sources, got {len(bench.sources)}")
+        # at the third source's statement, if there is one
+        report("missing-source" if len(bench.sources) < 2 else "extra-source",
+               f"bench needs two photon sources, got {len(bench.sources)}", ("source", 2))
     elif bench.sources[0] == bench.sources[1]:
-        error("shared-source-mode",
-              f"both photon sources are on {bench.mode_name(bench.sources[0])}")
+        report("shared-source-mode",
+               f"both photon sources are on {bench.mode_name(bench.sources[0])}", ("source", 1))
     missing = [d for d in protocol if d not in bench.detectors]
     if missing:
         error("missing-detector", f"bench needs D1, D2, D1*, D2*; missing {', '.join(missing)}")
@@ -407,30 +425,30 @@ def validate(bench: Bench) -> list[Diagnostic]:
         touched.update(m for act in e.actions for m in act.modes)
         if e.kind is ElementKind.POCKELS_CELL:  # no actions: it flips its V mode
             touched.add(ModeId(e.paths[0], V))
-    # two of the protocol's detectors on one mode are an error, any other pair a
-    # warning; a mode is held by the first of the protocol's detectors on it
+    # a protocol detector on a mode nothing feeds, or two on one mode, are
+    # errors, and the same of any other detector a warning; a mode is held by
+    # the first of the protocol's detectors on it
     seen: dict[ModeId, str] = {}
     for name, mode in bench.detectors.items():
         used_paths.add(mode.path)
+        at = ("detector", name)
         if mode not in touched:
-            diags.append(Diagnostic("unreachable-detector",
-                                    f"detector {name!r} watches {bench.mode_name(mode)} "
-                                    "which no source or element feeds",
-                                    severity="warning"))
+            ours = name in protocol
+            report("unreachable-protocol-detector" if ours else "unreachable-detector",
+                   f"detector {name!r} watches {bench.mode_name(mode)} "
+                   "which no source or element feeds", at, "error" if ours else "warning")
         other = seen.get(mode)
         if other is not None:
             ours = name in protocol and other in protocol
-            diags.append(Diagnostic("shared-detector-mode" if ours else "detector-mode-collision",
-                                    f"detectors {other!r} and {name!r} share "
-                                    f"{bench.mode_name(mode)}",
-                                    severity="error" if ours else "warning"))
+            report("shared-detector-mode" if ours else "detector-mode-collision",
+                   f"detectors {other!r} and {name!r} share {bench.mode_name(mode)}", at,
+                   "error" if ours else "warning")
         if other is None or (name in protocol and other not in protocol):
             seen[mode] = name
     for p, name in enumerate(bench.path_names):
         if p not in used_paths:
-            diags.append(Diagnostic("unreferenced-path",
-                                    f"path {name!r} is declared but never used",
-                                    severity="warning"))
+            report("unreferenced-path", f"path {name!r} is declared but never used",
+                   ("path", p), "warning")
     return diags
 
 

@@ -172,10 +172,11 @@ class TestProtocolRequirements:
         # a knob on a, Alice's path, would also touch her detectors past the cell
         ("phase a knob\neop b\n", "eop b\nphase b knob\n", "knob-after-cell", 7),
         ("source photon b V\n", "", "missing-source", 0),
-        ("source photon b V\n", "source photon b V\nsource photon b H\n", "extra-source", 0),
-        ("source photon b V", "source photon a V", "shared-source-mode", 0),
+        # the third source's line
+        ("source photon b V\n", "source photon b V\nsource photon b H\n", "extra-source", 5),
+        ("source photon b V", "source photon a V", "shared-source-mode", 4),
         ("detector D2* b H\n", "", "missing-detector", 0),
-        ("detector D2* b H", "detector D2* b V", "shared-detector-mode", 0),
+        ("detector D2* b H", "detector D2* b V", "shared-detector-mode", 11),
         ("eop b\n", "eop b\nphase a value=0.1\n", "touches-alice", 8),
         ("eop b\n", "eop b\nbs b a theta=0.3\n", "touches-alice", 8),
     ], ids=["no-cell", "two-cells", "late-knob", "one-source", "three-sources",
@@ -186,6 +187,21 @@ class TestProtocolRequirements:
         assert bench is None
         errors = [d for d in diags if d.severity == "error"]
         assert [(d.code, d.line) for d in errors] == [(code, line)]
+
+    @pytest.mark.parametrize("old, new, code, line", [
+        ("source photon b V", "  source photon a V", "shared-source-mode", 4),
+        ("detector D2* b H", "  detector D2* b V", "shared-detector-mode", 11),
+        ("detector D2* b H", "path c\n  detector D2* c H", "unreachable-protocol-detector", 12),
+        ("detector D2* b H", "detector D2* b H\n  detector X b H", "detector-mode-collision",
+         12),
+        ("detector D2* b H", "detector D2* b H\npath c\n  detector X c H",
+         "unreachable-detector", 13),
+        ("path b", "path b\n  path c", "unreferenced-path", 3),
+    ], ids=["shared-source", "shared-D1*", "unfed-D2*", "collision", "unfed-X", "spare-path"])
+    def test_a_statement_fault_carries_its_line_and_column(self, old, new, code, line):
+        # the statement at fault is the one indented by two
+        _, diags = parse_with_diagnostics(MINIMAL.replace(old, new, 1))
+        assert [(d.code, d.line, d.col) for d in diags] == [(code, line, 3)]
 
     def test_every_fault_is_reported(self):
         with pytest.raises(BenchError) as err:

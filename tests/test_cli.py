@@ -269,11 +269,18 @@ class TestRun:
         unfit("eop bob\n", "",
               "0:1: error: no-pockels-cell: bench needs exactly one Pockels cell, got 0"),
         unfit("source photon ks V", "source photon ka V",
-              "0:1: error: shared-source-mode: both photon sources are on ka.V"),
+              "15:1: error: shared-source-mode: both photon sources are on ka.V"),
         unfit("eop bob\n", "eop bob\neop bob\n",
               "32:1: error: multiple-pockels-cells: bench needs exactly one Pockels cell, got 2"),
         unfit("detector D2* b2 V", "detector D2* b1 H",
-              "0:1: error: shared-detector-mode: detectors 'D1*' and 'D2*' share b1.H"),
+              "41:1: error: shared-detector-mode: detectors 'D1*' and 'D2*' share b1.H"),
+        # D1* and D2* on a new path: the run would write an all-zero fringe.csv
+        unfit("detector D1* b1 H\ndetector D2* b2 V",
+              "path dark\ndetector D1* dark H\ndetector D2* dark V",
+              "41:1: error: unreachable-protocol-detector: detector 'D1*' watches dark.H "
+              "which no source or element feeds",
+              "42:1: error: unreachable-protocol-detector: detector 'D2*' watches dark.V "
+              "which no source or element feeds"),
         pytest.param(None, "path a\npath b\nsource photon a V\nbs a b theta=0.5\n"
                      "phase a knob\ndetector D1 a V\n",
                      ["0:1: error: no-pockels-cell: bench needs exactly one Pockels cell, got 0",
@@ -319,7 +326,7 @@ class TestRun:
         assert run_cli("validate-bench", str(bad)) == 3
         out = capsys.readouterr().out.splitlines()
         assert [line.split(": ")[:3] for line in out] == [
-            ["0:1", "error", "shared-source-mode"], ["32:1", "error", "touches-alice"]]
+            ["15:1", "error", "shared-source-mode"], ["32:1", "error", "touches-alice"]]
 
     # with two lines the race would run on twice the --delay-m length, and
     # without a splitter feeding the knob there is no qubit to retune

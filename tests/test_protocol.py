@@ -132,8 +132,10 @@ class TestAnalyticCoincidences:
         assert [d.code for d in err.value.diagnostics] == ["no-pockels-cell"]
 
     def test_no_photon_at_bobs_detectors_is_rejected(self):
-        # D1* and D2* watch a path that no element reaches
+        # D1* and D2* watch a path that only a wave plate feeds, and no photon
+        # enters it; on a path that nothing feeds, they would not parse
         text = (figure1_text().replace("path aux\n", "path aux\npath dark\n")
+                .replace("pbs bob aux b1 b2\n", "pbs bob aux b1 b2\nqwp dark angle=0.5\n")
                 .replace("D1* b1 H", "D1* dark H").replace("D2* b2 V", "D2* dark V"))
         with pytest.raises(ProtocolError, match="no coincidence amplitude"):
             analytic_coincidences(parse(text), 0.3)
@@ -636,6 +638,91 @@ class TestOutcomeDistribution:
         want = np.loadtxt(DATA / "outcome_distribution.txt").reshape(-1, 4, 4)
         got = outcome_distribution(bench, cfg)
         assert np.abs(got - want).max() <= 1e-14
+
+
+class TestSweepTableSlot:
+    """``outcome_distribution`` keeps the last sweep's click tables in one
+    slot, keyed on the photon pass, the phase grid and the noise model."""
+
+    CFG = RunConfig(mode=RunMode.ACTIVE, phi_grid=default_phi_grid(9), noise=FULL_NOISE,
+                    timing=JITTERED)
+
+    @pytest.fixture(autouse=True)
+    def builds(self, monkeypatch) -> list:
+        """An empty slot, and every ``click_tables`` call from ``protocol``
+        from here on."""
+        monkeypatch.setattr(protocol, "_last_sweep", None)
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return click_tables(*args)
+
+        monkeypatch.setattr(protocol, "click_tables", spy)
+        return calls
+
+    @pytest.mark.parametrize("edit", [
+        lambda b, cfg: (b.with_delay_m(7.0), cfg),
+        lambda b, cfg: (b, dataclasses.replace(cfg, noise=dataclasses.replace(cfg.noise))),
+        lambda b, cfg: (b, dataclasses.replace(cfg, phi_grid=(-0.0, *cfg.phi_grid[1:]))),
+    ], ids=["with_delay_m", "equal-noise", "negative-zero-phase"])
+    def test_a_hit_gives_the_cold_tables(self, bench, builds, monkeypatch, edit):
+        outcome_distribution(bench, self.CFG)
+        del builds[:]
+        hit_bench, cfg = edit(bench, self.CFG)
+        got = outcome_distribution(hit_bench, cfg)
+        assert builds == []
+        cold = click_tables(hit_bench, cfg.phi_grid, cfg.noise)
+        assert protocol._last_sweep[3].tobytes() == cold.tobytes()
+        monkeypatch.setattr(protocol, "_last_sweep", None)
+        assert outcome_distribution(hit_bench, cfg).tobytes() == got.tobytes()
+        assert len(builds) == 1
+
+    @pytest.mark.parametrize("edit", [
+        lambda b, cfg: (b.with_input_theta(0.3), cfg),
+        lambda b, cfg: (parse(figure1_text()), cfg),
+        lambda b, cfg: (b, dataclasses.replace(cfg, phi_grid=default_phi_grid(8))),
+        lambda b, cfg: (b, dataclasses.replace(cfg, noise=dataclasses.replace(
+            cfg.noise, dephasing_sigma=0.5))),
+    ], ids=["with_input_theta", "reparsed-bench", "other-grid", "other-sigma"])
+    def test_a_miss_builds_and_keeps_new_tables(self, bench, builds, edit):
+        outcome_distribution(bench, self.CFG)
+        del builds[:]
+        miss_bench, cfg = edit(bench, self.CFG)
+        got = outcome_distribution(miss_bench, cfg)
+        assert len(builds) == 1
+        assert protocol._last_sweep[3].tobytes() == \
+            click_tables(miss_bench, cfg.phi_grid, cfg.noise).tobytes()
+        assert outcome_distribution(miss_bench, cfg).tobytes() == got.tobytes()
+        assert len(builds) == 1
+
+    def test_each_call_owns_its_array(self, bench, builds):
+        first = outcome_distribution(bench, self.CFG)
+        want = first.tobytes()
+        first[:] = -1.0
+        second = outcome_distribution(bench, self.CFG)
+        assert len(builds) == 1
+        assert second.tobytes() == want
+        assert second.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            protocol._last_sweep[3][0, 0, 0, 0] = 1.0
+
+    def test_shots_between_sweeps_leave_the_slot(self, bench, builds, rng):
+        run_sweep(bench, self.CFG, seed=1)
+        for phi in self.CFG.phi_grid:
+            run_trial(bench, phi, self.CFG, rng)
+        analytic_coincidences(bench.with_input_theta(0.3), 1.0)
+        shots = len(builds)
+        assert shots == 1 + len(self.CFG.phi_grid)
+        run_sweep(bench, dataclasses.replace(self.CFG, mode=RunMode.PASSIVE), seed=2)
+        assert len(builds) == shots
+
+    def test_the_active_paper_run_reads_the_inhibited_runs_tables(self, bench, builds):
+        # passive has its own sigma; inhibited and active share sigma_total
+        paper_runs(bench, 100, 7, 0, *protocol.PAPER_VISIBILITIES)
+        assert [args[2].dephasing_sigma for args in builds] == [
+            noise.calibrate_sigma(1.0, 0.906), pytest.approx(math.hypot(
+                noise.calibrate_sigma(1.0, 0.906), noise.calibrate_sigma(0.906, 0.80)))]
 
 
 def test_click_table_is_built_once_per_noise_model(bench, monkeypatch):
